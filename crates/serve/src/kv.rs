@@ -3,15 +3,15 @@
 //!
 //! ## Two-phase design: execute, then schedule
 //!
-//! The serving scheduler keeps the repo-wide determinism invariant (same
-//! traces and counters at 1, 4, or 8 lanes) by splitting a pressured run
-//! in two:
+//! This is the serving pipeline's *KV iterations* timing model. It keeps
+//! the repo-wide determinism invariant (same traces and counters at 1, 4,
+//! or 8 lanes) by splitting a pressured run in two:
 //!
-//! 1. **Execute** every admitted request exactly as the unconstrained
-//!    path would — same owner groups, same per-group arrival order, same
-//!    engine — so `GenResponse`s and trace digests are byte-identical
-//!    whether or not memory pressure is configured (pinned by the
-//!    preemption-equivalence test).
+//! 1. **Execute** every admitted request through the pipeline's shared
+//!    admit, place, and execute stages — same owner groups, same
+//!    per-group arrival order, same engine — so `GenResponse`s and trace
+//!    digests are byte-identical to the lane-clock timing model (pinned
+//!    by the preemption-equivalence test).
 //! 2. **Schedule** the measured token footprints through this module's
 //!    single-threaded virtual-time iteration loop against a bounded
 //!    [`BlockPool`]. Lanes parallelize phase 1's host execution only; the

@@ -1,17 +1,32 @@
-//! The serving scheduler: virtual-time dispatch of admitted requests onto
-//! [`BatchRunner`] lanes, with cache-affinity routing.
+//! The serving scheduler: one pipeline that admits, places, executes,
+//! classifies, times, and reports a workload on a virtual clock.
 //!
-//! ## Execution model
+//! ## One pipeline, two timing models
 //!
-//! [`ServeNode::run`] is a discrete-event loop over the workload's virtual
-//! clock. Each round it (1) admits every request whose arrival timestamp
-//! has been reached, (2) pops up to `lanes × quantum` requests from the
-//! priority queue, (3) executes them as one assigned batch, charging each
-//! job's virtual service time to its lane's clock, and (4) advances the
-//! clock to the earliest moment a lane frees up (or to the next arrival
-//! when idle). Real threads do the work — one per active lane via
-//! [`BatchRunner::run_assigned`] — but all *timing* is virtual, so a run
-//! is reproducible regardless of the host machine.
+//! [`ServeNode::run`] passes every request through the same stages:
+//! **admit** (memoized plan verification, then the token bucket and depth
+//! limit; a shed request gets its typed `Rejected` outcome and goes no
+//! further), **place** (owner group and lane, below), **execute**
+//! ([`BatchRunner::run_assigned`], one real thread per active lane),
+//! **classify** (status, service time, trace digest, usage, class
+//! counters, reuse ledger), **time**, and **report**. Only the time stage,
+//! and how admission interleaves with execution, depends on
+//! [`ServeConfig::pressure`]:
+//!
+//! - **Lanes** (no pressure): each round admits every request that has
+//!   arrived by `now`, pops up to `lanes × quantum` of them, executes them
+//!   as one batch, charges each job's service time to its lane's virtual
+//!   clock, and advances `now` to the earliest free lane (or the next
+//!   arrival when idle). Admission must interleave with execution: depth
+//!   shedding reads queue depth, which depends on the lane clocks.
+//! - **KV iterations** (pressure): the bounded KV pool is the backpressure
+//!   valve, so each admitted request drains at once and depth never
+//!   binds. Everything executes in arrival order, then [`crate::kv`]
+//!   times the measured token footprints through the pool.
+//!
+//! Pressure is a timing model, never a results model: statuses, digests,
+//! and usage are identical under either. All timing is virtual, so a run
+//! is reproducible on any host.
 //!
 //! ## Cache-affinity routing
 //!
@@ -40,19 +55,19 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use spear_core::batch::{AssignedJob, BatchRunner};
+use spear_core::batch::{AssignedJob, BatchOutcome, BatchRunner};
 use spear_core::error::SpearError;
 use spear_core::llm::ReusePolicy;
 use spear_core::metadata::{ReuseEvent, TokenUsage};
 use spear_core::runtime::Runtime;
 use spear_kv::shard::fnv1a;
-use spear_llm::{MemoStats, SimLlm};
+use spear_llm::{CacheStats, MemoStats, SimLlm};
 
 use crate::error::ServeError;
 use crate::kv::{self, KvPressureConfig, SeqInput};
-use crate::metrics::{ClassReport, Histogram, ReuseReport, ServeReport};
+use crate::metrics::{ClassReport, Histogram, KvReport, ReuseReport, ServeReport};
 use crate::program_cache::ProgramCache;
 use crate::queue::{AdmissionConfig, AdmissionQueue};
 use crate::request::{Priority, ServeRequest};
@@ -84,14 +99,16 @@ pub struct ServeConfig {
     /// LLM call or queue slot is spent. Default on; turn off only for
     /// workloads known-verified out of band.
     pub verify_admission: bool,
-    /// Schedule the run's token footprints through a bounded KV block
-    /// pool with token-level continuous batching (see [`crate::kv`]).
-    /// Executions stay byte-identical to the unconstrained path — the
-    /// pool shapes *timing* (queue waits, service, preemptions,
-    /// evictions), not results. With pressure on, the KV pool itself is
-    /// the backpressure valve: queue-depth shedding never binds (token
-    /// bucket and plan verification still apply). `None` = unbounded
-    /// memory, the classic lane scheduler.
+    /// The timing model. `None` times each request on per-lane virtual
+    /// clocks with unbounded memory. `Some` times the run's measured token
+    /// footprints through a bounded KV block pool with token-level
+    /// continuous batching (see [`crate::kv`]). Either way the same
+    /// pipeline admits, places, and executes every request, so statuses,
+    /// digests, and usage are identical — the pool shapes *timing* (queue
+    /// waits, service, preemptions, evictions), not results. Under
+    /// pressure the pool itself is the backpressure valve, so queue-depth
+    /// shedding never binds (token bucket and plan verification still
+    /// apply).
     pub pressure: Option<KvPressureConfig>,
     /// Capacity of the node's compiled-program cache
     /// ([`crate::program_cache::ProgramCache`]): distinct
@@ -175,6 +192,23 @@ pub struct ServeOutcome {
     pub preemptions: u32,
 }
 
+impl ServeOutcome {
+    /// An outcome with nothing measured or timed yet.
+    fn untimed(id: u64, priority: Priority, status: ServeStatus) -> Self {
+        Self {
+            id,
+            priority,
+            status,
+            queue_wait_us: 0,
+            service_us: 0,
+            finish_us: 0,
+            trace_digest: None,
+            usage: TokenUsage::default(),
+            preemptions: 0,
+        }
+    }
+}
+
 /// Everything a serving run produced: per-request outcomes (in request-id
 /// order) and the aggregate report.
 #[derive(Debug)]
@@ -216,18 +250,6 @@ impl ClassAccum {
     }
 }
 
-/// Per-run memo of admission-verification results, keyed by plan family
-/// (plan fingerprint ⊕ assumed prompt keys ⊕ deadline). Verification also
-/// depends on the runtime's registries, and each run may bring a
-/// different runtime, so the memo is cleared at the start of every run —
-/// within a run the full `Verifier` executes once per family instead of
-/// once per request.
-#[derive(Debug, Default)]
-struct VerifyMemo {
-    map: HashMap<u64, Option<Vec<String>>>,
-    hits: u64,
-}
-
 /// The long-lived serving node: a scheduler plus its worker-lane pool.
 /// One node can serve many successive [`ServeNode::run`] calls; owner ids
 /// never alias across runs.
@@ -237,7 +259,6 @@ pub struct ServeNode {
     runner: BatchRunner,
     run_seq: AtomicU64,
     programs: ProgramCache,
-    verify_memo: Mutex<VerifyMemo>,
 }
 
 impl ServeNode {
@@ -251,76 +272,7 @@ impl ServeNode {
             runner: BatchRunner::new(lanes),
             run_seq: AtomicU64::new(0),
             programs,
-            verify_memo: Mutex::new(VerifyMemo::default()),
         }
-    }
-
-    /// Memoized admission verification: the full [`verify_for_admission`]
-    /// runs once per plan family per run; later family members reuse the
-    /// cached verdict (including rejection details).
-    fn verify_admission_memoized(
-        &self,
-        runtime: &Runtime,
-        request: &ServeRequest,
-    ) -> Option<Vec<String>> {
-        let key = Self::verify_key(request);
-        {
-            let mut memo = match self.verify_memo.lock() {
-                Ok(memo) => memo,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if let Some(cached) = memo.map.get(&key).cloned() {
-                memo.hits += 1;
-                return cached;
-            }
-        }
-        // Verify outside the lock: the memo only makes the common
-        // (already-seen family) case cheap.
-        let verdict = verify_for_admission(runtime, request);
-        let mut memo = match self.verify_memo.lock() {
-            Ok(memo) => memo,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if memo.map.len() >= VERIFY_MEMO_CAPACITY {
-            memo.map.clear();
-        }
-        memo.map.insert(key, verdict.clone());
-        verdict
-    }
-
-    /// The memo key: everything [`verify_for_admission`] reads from the
-    /// request (the runtime's contribution is handled by clearing the memo
-    /// each run).
-    fn verify_key(request: &ServeRequest) -> u64 {
-        let mut bytes = Vec::with_capacity(64);
-        bytes.extend_from_slice(&request.plan.fingerprint().to_le_bytes());
-        for key in request.state.prompts.keys() {
-            bytes.extend_from_slice(key.as_bytes());
-            bytes.push(0xff);
-        }
-        bytes.extend_from_slice(&request.deadline_us.unwrap_or(u64::MAX).to_le_bytes());
-        fnv1a(&bytes)
-    }
-
-    /// Reset the memo for a fresh run (a new run may bring a different
-    /// runtime, whose registries verification depends on).
-    fn reset_verify_memo(&self) {
-        let mut memo = match self.verify_memo.lock() {
-            Ok(memo) => memo,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        memo.map.clear();
-        memo.hits = 0;
-    }
-
-    /// Take the memo hits accumulated this run (for
-    /// [`crate::metrics::CompileReport::verify_memo_hits`]).
-    fn drain_verify_memo_hits(&self) -> u64 {
-        let mut memo = match self.verify_memo.lock() {
-            Ok(memo) => memo,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        std::mem::take(&mut memo.hits)
     }
 
     /// The configuration in effect.
@@ -346,12 +298,13 @@ impl ServeNode {
     /// # Panics
     ///
     /// Panics if `requests` is not sorted by arrival time or contains
-    /// duplicate ids — both are harness bugs, not load conditions.
+    /// duplicate ids — both are harness bugs, not load conditions, and
+    /// both are checked before any request is admitted or executed.
     pub fn run(
         &self,
         runtime: &Runtime,
         engine: Option<&SimLlm>,
-        mut requests: Vec<ServeRequest>,
+        requests: Vec<ServeRequest>,
     ) -> ServeRun {
         assert!(
             requests
@@ -359,559 +312,14 @@ impl ServeNode {
                 .all(|w| w[0].arrival_us <= w[1].arrival_us),
             "requests must arrive in non-decreasing virtual-time order"
         );
-        self.reset_verify_memo();
-        if let Some(pressure) = self.config.pressure.clone() {
-            return self.run_pressured(runtime, engine, requests, &pressure);
-        }
-        let cache_before = engine.map(|e| e.cache_stats());
-        let reuse_before = engine.map(|e| e.reuse_stats());
-        let reuse_policy = self.reuse_policy();
-        let run_nonce = self.run_seq.fetch_add(1, Ordering::Relaxed);
-        let owner_base = SERVE_OWNER_BASE | (run_nonce << 32);
-
-        let lanes = self.config.lanes;
-        let round_size = lanes * self.config.quantum.max(1);
-        let mut queue = AdmissionQueue::new(self.config.admission.clone());
-        let mut accum: HashMap<Priority, ClassAccum> = HashMap::new();
-        let mut outcomes: Vec<ServeOutcome> = Vec::with_capacity(requests.len());
-        // Affinity-group bookkeeping: key -> (owner id, pinned lane).
-        let mut groups: HashMap<(Priority, String), (u64, usize)> = HashMap::new();
-        let mut next_owner = 0u64;
-        let mut round_robin = 0usize;
-        let mut lane_clock = vec![0u64; lanes];
-        let mut now = 0u64;
-        // (arrival_us, id, service_us, per-GEN reuse events) of completed
-        // requests, for the deterministic reuse ledger.
-        let mut reuse_rows: Vec<(u64, u64, u64, Vec<ReuseEvent>)> = Vec::new();
-
-        requests.reverse(); // pop() takes the earliest arrival
-        for r in &requests {
-            accum.entry(r.priority).or_default().report.submitted += 1;
-        }
-
-        loop {
-            // (1) Admit everything that has arrived by `now`.
-            while requests.last().is_some_and(|r| r.arrival_us <= now) {
-                let request = requests.pop().expect("peeked");
-                let class = request.priority;
-                let entry = accum.entry(class).or_default();
-                if self.config.verify_admission {
-                    if let Some(details) = self.verify_admission_memoized(runtime, &request) {
-                        entry.report.rejected += 1;
-                        outcomes.push(ServeOutcome {
-                            id: request.id,
-                            priority: class,
-                            status: ServeStatus::Rejected {
-                                error: ServeError::InvalidPlan {
-                                    plan: request.plan.name.clone(),
-                                    details,
-                                },
-                            },
-                            queue_wait_us: 0,
-                            service_us: 0,
-                            finish_us: 0,
-                            trace_digest: None,
-                            usage: TokenUsage::default(),
-                            preemptions: 0,
-                        });
-                        continue;
-                    }
-                }
-                match queue.offer(request) {
-                    Ok(()) => {
-                        entry.report.admitted += 1;
-                        entry.queue_depth.record(queue.depth(class) as u64);
-                    }
-                    Err(shed) => {
-                        let (rejected, error) = *shed;
-                        entry.report.rejected += 1;
-                        outcomes.push(ServeOutcome {
-                            id: rejected.id,
-                            priority: class,
-                            status: ServeStatus::Rejected { error },
-                            queue_wait_us: 0,
-                            service_us: 0,
-                            finish_us: 0,
-                            trace_digest: None,
-                            usage: TokenUsage::default(),
-                            preemptions: 0,
-                        });
-                    }
-                }
-            }
-
-            // (2) Pop a dispatch round.
-            let popped = queue.pop_batch(round_size);
-            if popped.is_empty() {
-                match requests.last() {
-                    Some(r) => {
-                        now = now.max(r.arrival_us);
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-
-            // (3) Place each popped request on a lane with an owner group.
-            let mut jobs = Vec::with_capacity(popped.len());
-            let mut meta = Vec::with_capacity(popped.len());
-            for mut request in popped {
-                let (owner, lane) = if self.config.affinity_routing {
-                    match request.affinity_key() {
-                        Some(key) => {
-                            let seed = request.plan.affinity_seed().unwrap_or_default();
-                            let slot = groups.entry((request.priority, key)).or_insert_with(|| {
-                                let owner = owner_base + next_owner;
-                                next_owner += 1;
-                                (owner, (seed % lanes as u64) as usize)
-                            });
-                            *slot
-                        }
-                        None => {
-                            Self::isolated(owner_base, &mut next_owner, &mut round_robin, lanes)
-                        }
-                    }
-                } else {
-                    Self::isolated(owner_base, &mut next_owner, &mut round_robin, lanes)
-                };
-                request.state.deadline_us = request.deadline_us;
-                request.state.cancel = Some(request.cancel.clone());
-                request.state.reuse = reuse_policy;
-                meta.push((request.id, request.priority, request.arrival_us, lane));
-                let program = self.programs.get_or_compile(&request.plan, runtime, engine);
-                jobs.push(AssignedJob {
-                    lane,
-                    owner,
-                    plan: Arc::clone(&request.plan),
-                    program,
-                    state: std::mem::take(&mut request.state),
-                });
-            }
-            let results = self.runner.run_assigned(runtime, jobs);
-
-            // (4) Charge virtual time and record outcomes, in dispatch
-            // order (same-lane jobs queue behind each other).
-            for ((id, priority, arrival_us, lane), result) in meta.into_iter().zip(results) {
-                let start_us = lane_clock[lane].max(now);
-                let entry = accum.entry(priority).or_default();
-                let (status, service_us, digest, usage) = match result {
-                    Ok(mut outcome) => {
-                        let service = outcome.state.metadata.latency_us;
-                        let digest = outcome.state.trace.digest().ok();
-                        entry.report.completed += 1;
-                        entry.report.prompt_tokens += outcome.state.metadata.usage.prompt_tokens;
-                        entry.report.cached_tokens += outcome.state.metadata.usage.cached_tokens;
-                        let events = std::mem::take(&mut outcome.state.metadata.reuse_events);
-                        if !events.is_empty() {
-                            reuse_rows.push((arrival_us, id, service, events));
-                        }
-                        (
-                            ServeStatus::Completed,
-                            service,
-                            digest,
-                            outcome.state.metadata.usage,
-                        )
-                    }
-                    Err(SpearError::Cancelled { reason, after_us }) => {
-                        let status = if reason == "deadline" {
-                            entry.report.deadline_exceeded += 1;
-                            ServeStatus::DeadlineExceeded { after_us }
-                        } else {
-                            entry.report.cancelled += 1;
-                            ServeStatus::Cancelled { reason }
-                        };
-                        (status, after_us, None, TokenUsage::default())
-                    }
-                    Err(error) => {
-                        entry.report.failed += 1;
-                        (
-                            ServeStatus::Failed {
-                                error: error.to_string(),
-                            },
-                            0,
-                            None,
-                            TokenUsage::default(),
-                        )
-                    }
-                };
-                let finish_us = start_us + service_us;
-                lane_clock[lane] = finish_us;
-                let queue_wait_us = start_us.saturating_sub(arrival_us);
-                entry.queue_wait_us.record(queue_wait_us);
-                entry.service_us.record(service_us);
-                entry.e2e_us.record(finish_us.saturating_sub(arrival_us));
-                outcomes.push(ServeOutcome {
-                    id,
-                    priority,
-                    status,
-                    queue_wait_us,
-                    service_us,
-                    finish_us,
-                    trace_digest: digest,
-                    usage,
-                    preemptions: 0,
-                });
-            }
-
-            // (5) Advance to the earliest time a lane frees up.
-            let earliest_free = lane_clock.iter().copied().min().unwrap_or(now);
-            now = now.max(earliest_free);
-        }
-
-        outcomes.sort_by_key(|o| o.id);
-        assert!(
-            outcomes.windows(2).all(|w| w[0].id < w[1].id),
-            "request ids must be unique"
-        );
-
-        let mut report = ServeReport {
-            lanes,
-            affinity_routing: self.config.affinity_routing,
-            makespan_us: lane_clock.iter().copied().max().unwrap_or(0),
-            trace_fingerprint: Self::fingerprint(&outcomes),
-            interactive: accum
-                .remove(&Priority::Interactive)
-                .unwrap_or_default()
-                .finish(),
-            batch: accum.remove(&Priority::Batch).unwrap_or_default().finish(),
-            cache: Default::default(),
-            kv: Default::default(),
-            compile: {
-                let mut compile = self.programs.drain_counters();
-                compile.verify_memo_hits = self.drain_verify_memo_hits();
-                compile
-            },
-            cluster: None,
-            reuse: Self::reuse_ledger(reuse_rows),
+        assert!(ids_unique(&requests), "request ids must be unique");
+        let mut run = RunCtx::new(self, runtime, engine, &requests);
+        // `pressure` picks the timing model: lane clocks or KV iterations.
+        let (makespan_us, kv) = match &self.config.pressure {
+            None => (run.serve_on_lanes(requests), KvReport::default()),
+            Some(pressure) => run.serve_through_kv(requests, pressure),
         };
-        if let (Some(engine), Some(before)) = (engine, cache_before) {
-            report.cache = engine.cache_stats().delta_since(&before);
-        }
-        if let (Some(engine), Some(before)) = (engine, reuse_before) {
-            Self::stamp_memo_stats(&mut report.reuse, &before, &engine.reuse_stats());
-        }
-        ServeRun { outcomes, report }
-    }
-
-    /// The memory-pressure path: execute everything exactly as the
-    /// unconstrained scheduler would (same owner groups, same per-group
-    /// order — byte-identical traces), then schedule the measured token
-    /// footprints through the KV iteration scheduler (`crate::kv`) for
-    /// timing, preemption, and eviction behaviour. Split this way, every
-    /// pool decision lives on the single-threaded virtual clock, so the
-    /// contended counters are lane-count-invariant by construction.
-    fn run_pressured(
-        &self,
-        runtime: &Runtime,
-        engine: Option<&SimLlm>,
-        requests: Vec<ServeRequest>,
-        pressure: &KvPressureConfig,
-    ) -> ServeRun {
-        let cache_before = engine.map(|e| e.cache_stats());
-        let reuse_before = engine.map(|e| e.reuse_stats());
-        let reuse_policy = self.reuse_policy();
-        let run_nonce = self.run_seq.fetch_add(1, Ordering::Relaxed);
-        let owner_base = SERVE_OWNER_BASE | (run_nonce << 32);
-        let lanes = self.config.lanes;
-
-        let mut accum: HashMap<Priority, ClassAccum> = HashMap::new();
-        let mut outcomes: Vec<ServeOutcome> = Vec::with_capacity(requests.len());
-
-        // Phase 0 — admission, in arrival order. The token bucket and the
-        // plan verifier apply exactly as in the unconstrained path (both
-        // are pure functions of the arrival-ordered stream); depth-based
-        // shedding does not, because under pressure the bounded pool —
-        // not queue depth — is the backpressure valve: each admitted
-        // request is drained into the KV waiting set immediately.
-        let mut queue = AdmissionQueue::new(self.config.admission.clone());
-        let mut admitted: Vec<ServeRequest> = Vec::with_capacity(requests.len());
-        for request in requests {
-            let class = request.priority;
-            let entry = accum.entry(class).or_default();
-            entry.report.submitted += 1;
-            if self.config.verify_admission {
-                if let Some(details) = self.verify_admission_memoized(runtime, &request) {
-                    entry.report.rejected += 1;
-                    outcomes.push(ServeOutcome {
-                        id: request.id,
-                        priority: class,
-                        status: ServeStatus::Rejected {
-                            error: ServeError::InvalidPlan {
-                                plan: request.plan.name.clone(),
-                                details,
-                            },
-                        },
-                        queue_wait_us: 0,
-                        service_us: 0,
-                        finish_us: 0,
-                        trace_digest: None,
-                        usage: TokenUsage::default(),
-                        preemptions: 0,
-                    });
-                    continue;
-                }
-            }
-            match queue.offer(request) {
-                Ok(()) => {
-                    entry.report.admitted += 1;
-                    admitted.push(queue.pop().expect("just offered"));
-                }
-                Err(shed) => {
-                    let (rejected, error) = *shed;
-                    entry.report.rejected += 1;
-                    outcomes.push(ServeOutcome {
-                        id: rejected.id,
-                        priority: class,
-                        status: ServeStatus::Rejected { error },
-                        queue_wait_us: 0,
-                        service_us: 0,
-                        finish_us: 0,
-                        trace_digest: None,
-                        usage: TokenUsage::default(),
-                        preemptions: 0,
-                    });
-                }
-            }
-        }
-
-        // Phase 1 — execute, with the unconstrained path's placement:
-        // same (class, affinity-key) owner groups, same hashed lane,
-        // members in arrival order. Lanes parallelize host execution
-        // only; results and digests are placement-invariant.
-        let mut groups: HashMap<(Priority, String), (u64, usize)> = HashMap::new();
-        let mut next_owner = 0u64;
-        let mut round_robin = 0usize;
-        let mut jobs = Vec::with_capacity(admitted.len());
-        let mut meta = Vec::with_capacity(admitted.len());
-        for mut request in admitted {
-            // `grouped` ⇒ the request shares a cache owner with its
-            // affinity family, and its `shared_prefix_tokens` map to the
-            // family's shared pool blocks. Isolated requests share no
-            // owner, hence no shared KV: their seed is unique and their
-            // prefix claim is dropped.
-            let (owner, lane, family_seed, grouped) = if self.config.affinity_routing {
-                match request.affinity_key() {
-                    Some(key) => {
-                        let seed = request.plan.affinity_seed().unwrap_or_default();
-                        let slot = groups.entry((request.priority, key)).or_insert_with(|| {
-                            let owner = owner_base + next_owner;
-                            next_owner += 1;
-                            (owner, (seed % lanes as u64) as usize)
-                        });
-                        (slot.0, slot.1, seed, true)
-                    }
-                    None => {
-                        let (owner, lane) =
-                            Self::isolated(owner_base, &mut next_owner, &mut round_robin, lanes);
-                        (owner, lane, fnv1a(&request.id.to_le_bytes()), false)
-                    }
-                }
-            } else {
-                let (owner, lane) =
-                    Self::isolated(owner_base, &mut next_owner, &mut round_robin, lanes);
-                (owner, lane, fnv1a(&request.id.to_le_bytes()), false)
-            };
-            let shared_prefix_tokens = if grouped {
-                request.shared_prefix_tokens
-            } else {
-                0
-            };
-            request.state.deadline_us = request.deadline_us;
-            request.state.cancel = Some(request.cancel.clone());
-            request.state.reuse = reuse_policy;
-            meta.push((
-                request.id,
-                request.priority,
-                request.arrival_us,
-                shared_prefix_tokens,
-                family_seed,
-            ));
-            let program = self.programs.get_or_compile(&request.plan, runtime, engine);
-            jobs.push(AssignedJob {
-                lane,
-                owner,
-                plan: Arc::clone(&request.plan),
-                program,
-                state: std::mem::take(&mut request.state),
-            });
-        }
-        let results = self.runner.run_assigned(runtime, jobs);
-
-        // Phase 2 — schedule the measured footprints through the bounded
-        // pool. Completed requests carry their real prefill/decode token
-        // counts; cancelled and failed ones pass through with an empty
-        // footprint but keep their measured partial service time.
-        let mut inputs = Vec::with_capacity(meta.len());
-        let mut executed = Vec::with_capacity(meta.len());
-        let mut reuse_rows: Vec<(u64, u64, u64, Vec<ReuseEvent>)> = Vec::new();
-        for ((id, priority, arrival_us, shared_prefix_tokens, family_seed), result) in
-            meta.into_iter().zip(results)
-        {
-            let entry = accum.entry(priority).or_default();
-            let mut gen_calls = 1u64;
-            let (status, exec_service_us, digest, usage) = match result {
-                Ok(mut outcome) => {
-                    let digest = outcome.state.trace.digest().ok();
-                    entry.report.completed += 1;
-                    entry.report.prompt_tokens += outcome.state.metadata.usage.prompt_tokens;
-                    entry.report.cached_tokens += outcome.state.metadata.usage.cached_tokens;
-                    gen_calls = outcome.state.metadata.gen_calls.max(1);
-                    let events = std::mem::take(&mut outcome.state.metadata.reuse_events);
-                    if !events.is_empty() {
-                        reuse_rows.push((
-                            arrival_us,
-                            id,
-                            outcome.state.metadata.latency_us,
-                            events,
-                        ));
-                    }
-                    (
-                        ServeStatus::Completed,
-                        outcome.state.metadata.latency_us,
-                        digest,
-                        outcome.state.metadata.usage,
-                    )
-                }
-                Err(SpearError::Cancelled { reason, after_us }) => {
-                    let status = if reason == "deadline" {
-                        entry.report.deadline_exceeded += 1;
-                        ServeStatus::DeadlineExceeded { after_us }
-                    } else {
-                        entry.report.cancelled += 1;
-                        ServeStatus::Cancelled { reason }
-                    };
-                    (status, after_us, None, TokenUsage::default())
-                }
-                Err(error) => {
-                    entry.report.failed += 1;
-                    (
-                        ServeStatus::Failed {
-                            error: error.to_string(),
-                        },
-                        0,
-                        None,
-                        TokenUsage::default(),
-                    )
-                }
-            };
-            let completed = status == ServeStatus::Completed;
-            // KV footprint of the sequence's device residency. Usage
-            // totals accumulate over every GEN call of the plan, but the
-            // calls run serially over one growing context — the resident
-            // footprint is the per-call prompt (averaged: calls share the
-            // prompt's prefix) plus everything decoded across calls.
-            inputs.push(SeqInput {
-                id,
-                priority,
-                arrival_us,
-                prompt_tokens: if completed {
-                    usage.prompt_tokens / gen_calls
-                } else {
-                    0
-                },
-                completion_tokens: if completed {
-                    usage.completion_tokens
-                } else {
-                    0
-                },
-                shared_prefix_tokens: if completed { shared_prefix_tokens } else { 0 },
-                family_seed,
-            });
-            executed.push((
-                id,
-                priority,
-                arrival_us,
-                status,
-                exec_service_us,
-                digest,
-                usage,
-            ));
-        }
-        let sim = kv::simulate(&inputs, pressure);
-
-        for ((id, priority, arrival_us, status, exec_service_us, digest, usage), timing) in
-            executed.into_iter().zip(&sim.timings)
-        {
-            let completed = status == ServeStatus::Completed;
-            // Completed requests take the KV scheduler's token-level
-            // timing; non-completed ones keep their measured partial
-            // service, placed at their scheduling instant.
-            let service_us = if completed {
-                timing.service_us
-            } else {
-                exec_service_us
-            };
-            let finish_us = if completed {
-                timing.finish_us
-            } else {
-                timing.start_us + exec_service_us
-            };
-            let queue_wait_us = timing.start_us.saturating_sub(arrival_us);
-            let entry = accum.entry(priority).or_default();
-            entry.queue_wait_us.record(queue_wait_us);
-            entry.service_us.record(service_us);
-            entry.e2e_us.record(finish_us.saturating_sub(arrival_us));
-            outcomes.push(ServeOutcome {
-                id,
-                priority,
-                status,
-                queue_wait_us,
-                service_us,
-                finish_us,
-                trace_digest: digest,
-                usage,
-                preemptions: timing.preemptions,
-            });
-        }
-        for (class, depth) in &sim.depth_samples {
-            accum.entry(*class).or_default().queue_depth.record(*depth);
-        }
-        for (i, class) in Priority::ALL.iter().enumerate() {
-            accum.entry(*class).or_default().report.preempted = sim.preempted_by_class[i];
-        }
-
-        outcomes.sort_by_key(|o| o.id);
-        assert!(
-            outcomes.windows(2).all(|w| w[0].id < w[1].id),
-            "request ids must be unique"
-        );
-        let mut report = ServeReport {
-            lanes,
-            affinity_routing: self.config.affinity_routing,
-            makespan_us: sim.makespan_us,
-            trace_fingerprint: Self::fingerprint(&outcomes),
-            interactive: accum
-                .remove(&Priority::Interactive)
-                .unwrap_or_default()
-                .finish(),
-            batch: accum.remove(&Priority::Batch).unwrap_or_default().finish(),
-            cache: Default::default(),
-            kv: sim.report,
-            compile: {
-                let mut compile = self.programs.drain_counters();
-                compile.verify_memo_hits = self.drain_verify_memo_hits();
-                compile
-            },
-            cluster: None,
-            reuse: Self::reuse_ledger(reuse_rows),
-        };
-        if let (Some(engine), Some(before)) = (engine, cache_before) {
-            report.cache = engine.cache_stats().delta_since(&before);
-        }
-        if let (Some(engine), Some(before)) = (engine, reuse_before) {
-            Self::stamp_memo_stats(&mut report.reuse, &before, &engine.reuse_stats());
-        }
-        ServeRun { outcomes, report }
-    }
-
-    /// The [`ReusePolicy`] stamped on every admitted request's
-    /// [`spear_core::ExecState`].
-    fn reuse_policy(&self) -> ReusePolicy {
-        if self.config.reuse {
-            ReusePolicy::Exact
-        } else {
-            ReusePolicy::Off
-        }
+        run.report(makespan_us, kv)
     }
 
     /// Deterministic reuse ledger: classify each duplicate GEN as `coalesced`
@@ -946,28 +354,6 @@ impl ServeNode {
         report
     }
 
-    /// Fill in the memo-occupancy half of a [`ReuseReport`] from engine-side
-    /// [`MemoStats`] snapshots taken before and after the run.
-    fn stamp_memo_stats(reuse: &mut ReuseReport, before: &MemoStats, after: &MemoStats) {
-        reuse.inserted = after.insertions.saturating_sub(before.insertions);
-        reuse.evicted = after.evictions.saturating_sub(before.evictions);
-        reuse.bytes = after.resident_bytes;
-    }
-
-    /// Fresh-owner, round-robin-lane placement (no affinity).
-    fn isolated(
-        owner_base: u64,
-        next_owner: &mut u64,
-        round_robin: &mut usize,
-        lanes: usize,
-    ) -> (u64, usize) {
-        let owner = owner_base + *next_owner;
-        *next_owner += 1;
-        let lane = *round_robin % lanes;
-        *round_robin += 1;
-        (owner, lane)
-    }
-
     /// Order-canonical fold of statuses and trace digests, keyed by id.
     fn fingerprint(outcomes: &[ServeOutcome]) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -991,6 +377,446 @@ impl ServeNode {
         }
         hash
     }
+}
+
+/// Where a request runs: its cache owner and lane, plus the KV chain-hash
+/// seed its footprint is scheduled under.
+#[derive(Debug, Clone, Copy)]
+struct Placement {
+    owner: u64,
+    lane: usize,
+    /// Equal across an affinity group, unique to the request otherwise.
+    family_seed: u64,
+    /// Whether the request shares its owner (hence its prompt prefix's
+    /// KV blocks) with an affinity family.
+    grouped: bool,
+}
+
+/// A request in flight: placed, then classified, then timed.
+#[derive(Debug)]
+struct InFlight {
+    /// Status, measured service time, digest, and usage; untimed until
+    /// the time stage.
+    outcome: ServeOutcome,
+    arrival_us: u64,
+    placement: Placement,
+    /// The request's claimed prompt prefix shared with its family.
+    shared_prefix_tokens: u64,
+    gen_calls: u64,
+}
+
+impl InFlight {
+    /// KV footprint of the sequence's device residency. Usage totals
+    /// accumulate over every GEN call of the plan, but the calls run
+    /// serially over one growing context — the resident footprint is the
+    /// per-call prompt (averaged: calls share the prompt's prefix) plus
+    /// everything decoded across calls. Only a completed, grouped request
+    /// claims its family's shared prefix.
+    fn seq_input(&self) -> SeqInput {
+        let shares = self.placement.grouped && self.outcome.status == ServeStatus::Completed;
+        SeqInput {
+            id: self.outcome.id,
+            priority: self.outcome.priority,
+            arrival_us: self.arrival_us,
+            prompt_tokens: self.outcome.usage.prompt_tokens / self.gen_calls,
+            completion_tokens: self.outcome.usage.completion_tokens,
+            shared_prefix_tokens: if shares { self.shared_prefix_tokens } else { 0 },
+            family_seed: self.placement.family_seed,
+        }
+    }
+}
+
+/// Everything one [`ServeNode::run`] call owns. Nothing here outlives the
+/// call, so concurrent runs on one node never share verdicts, counters,
+/// or owner groups.
+struct RunCtx<'a> {
+    node: &'a ServeNode,
+    runtime: &'a Runtime,
+    engine: Option<&'a SimLlm>,
+    /// Engine counters at the start of the run.
+    before: Option<(CacheStats, MemoStats)>,
+    reuse: ReusePolicy,
+    owner_base: u64,
+    next_owner: u64,
+    round_robin: usize,
+    /// (class, affinity key) → the family's shared placement.
+    groups: HashMap<(Priority, String), Placement>,
+    /// Admission-verification verdicts by plan family ([`verify_key`]):
+    /// the full verifier runs once per family per run. The runtime's
+    /// registries also feed the verdict, and each run brings its own
+    /// runtime, which is why the memo lives exactly as long as the run.
+    verdicts: HashMap<u64, Option<Vec<String>>>,
+    verify_memo_hits: u64,
+    /// Per-class accumulators, in [`Priority::ALL`] order.
+    classes: [ClassAccum; 2],
+    outcomes: Vec<ServeOutcome>,
+    /// (arrival_us, id, service_us, per-GEN reuse events) of completed
+    /// requests, for the deterministic reuse ledger.
+    reuse_rows: Vec<(u64, u64, u64, Vec<ReuseEvent>)>,
+}
+
+impl<'a> RunCtx<'a> {
+    fn new(
+        node: &'a ServeNode,
+        runtime: &'a Runtime,
+        engine: Option<&'a SimLlm>,
+        requests: &[ServeRequest],
+    ) -> Self {
+        let run_nonce = node.run_seq.fetch_add(1, Ordering::Relaxed);
+        let mut classes: [ClassAccum; 2] = Default::default();
+        for r in requests {
+            classes[r.priority as usize].report.submitted += 1;
+        }
+        Self {
+            node,
+            runtime,
+            engine,
+            before: engine.map(|e| (e.cache_stats(), e.reuse_stats())),
+            reuse: if node.config.reuse {
+                ReusePolicy::Exact
+            } else {
+                ReusePolicy::Off
+            },
+            owner_base: SERVE_OWNER_BASE | (run_nonce << 32),
+            next_owner: 0,
+            round_robin: 0,
+            groups: HashMap::new(),
+            verdicts: HashMap::new(),
+            verify_memo_hits: 0,
+            classes,
+            outcomes: Vec::with_capacity(requests.len()),
+            reuse_rows: Vec::new(),
+        }
+    }
+
+    fn class(&mut self, priority: Priority) -> &mut ClassAccum {
+        &mut self.classes[priority as usize]
+    }
+
+    /// Admit stage: verify the plan, then offer the request to the queue's
+    /// token bucket and depth limit. A shed request gets its `Rejected`
+    /// outcome here. Returns whether the request was queued.
+    fn admit(&mut self, queue: &mut AdmissionQueue, request: ServeRequest) -> bool {
+        let priority = request.priority;
+        let (id, error) = match self.verify(&request) {
+            Some(details) => (
+                request.id,
+                ServeError::InvalidPlan {
+                    plan: request.plan.name.clone(),
+                    details,
+                },
+            ),
+            None => match queue.offer(request) {
+                Ok(()) => {
+                    self.class(priority).report.admitted += 1;
+                    return true;
+                }
+                Err(shed) => {
+                    let (request, error) = *shed;
+                    (request.id, error)
+                }
+            },
+        };
+        self.class(priority).report.rejected += 1;
+        let status = ServeStatus::Rejected { error };
+        self.outcomes
+            .push(ServeOutcome::untimed(id, priority, status));
+        false
+    }
+
+    /// Memoized admission verification: the rendered error diagnostics of
+    /// [`verify_for_admission`], or `None` when the plan may run (always
+    /// `None` with verification off).
+    fn verify(&mut self, request: &ServeRequest) -> Option<Vec<String>> {
+        if !self.node.config.verify_admission {
+            return None;
+        }
+        let key = verify_key(request);
+        if let Some(verdict) = self.verdicts.get(&key) {
+            self.verify_memo_hits += 1;
+            return verdict.clone();
+        }
+        let verdict = verify_for_admission(self.runtime, request);
+        if self.verdicts.len() >= VERIFY_MEMO_CAPACITY {
+            self.verdicts.clear();
+        }
+        self.verdicts.insert(key, verdict.clone());
+        verdict
+    }
+
+    /// Place stage. With affinity routing, requests sharing a (class,
+    /// affinity key) join one owner group pinned to lane `seed % lanes`,
+    /// where the family seed is `fnv1a(key)` — by definition
+    /// [`LoweredPlan::affinity_seed`](spear_core::plan::LoweredPlan::affinity_seed).
+    /// Every other request gets a fresh owner on a round-robin lane and a
+    /// seed of its own.
+    fn place(&mut self, request: &ServeRequest) -> Placement {
+        let lanes = self.node.config.lanes;
+        let owner = self.owner_base + self.next_owner;
+        let key = if self.node.config.affinity_routing {
+            request.affinity_key()
+        } else {
+            None
+        };
+        let placement = match key.map(|key| self.groups.entry((request.priority, key))) {
+            Some(Entry::Occupied(group)) => return *group.get(),
+            Some(Entry::Vacant(group)) => {
+                let family_seed = fnv1a(group.key().1.as_bytes());
+                *group.insert(Placement {
+                    owner,
+                    lane: (family_seed % lanes as u64) as usize,
+                    family_seed,
+                    grouped: true,
+                })
+            }
+            None => {
+                let lane = self.round_robin % lanes;
+                self.round_robin += 1;
+                Placement {
+                    owner,
+                    lane,
+                    family_seed: fnv1a(&request.id.to_le_bytes()),
+                    grouped: false,
+                }
+            }
+        };
+        self.next_owner += 1;
+        placement
+    }
+
+    /// Execute stage: place each request, run them all as one assigned
+    /// batch, and classify every result, in input order.
+    fn execute(&mut self, requests: Vec<ServeRequest>) -> Vec<InFlight> {
+        let mut executed = Vec::with_capacity(requests.len());
+        let mut jobs = Vec::with_capacity(requests.len());
+        for mut request in requests {
+            let placement = self.place(&request);
+            request.state.deadline_us = request.deadline_us;
+            request.state.cancel = Some(request.cancel.clone());
+            request.state.reuse = self.reuse;
+            let programs = &self.node.programs;
+            jobs.push(AssignedJob {
+                lane: placement.lane,
+                owner: placement.owner,
+                plan: Arc::clone(&request.plan),
+                program: programs.get_or_compile(&request.plan, self.runtime, self.engine),
+                state: std::mem::take(&mut request.state),
+            });
+            executed.push(InFlight {
+                outcome: ServeOutcome::untimed(
+                    request.id,
+                    request.priority,
+                    ServeStatus::Completed,
+                ),
+                arrival_us: request.arrival_us,
+                placement,
+                shared_prefix_tokens: request.shared_prefix_tokens,
+                gen_calls: 1,
+            });
+        }
+        let results = self.node.runner.run_assigned(self.runtime, jobs);
+        for (request, result) in executed.iter_mut().zip(results) {
+            self.classify(request, result);
+        }
+        executed
+    }
+
+    /// Classify stage: one execution result sets the outcome's status,
+    /// service time, digest, and usage (plus the GEN-call count) and is
+    /// counted into its class; a completed request's reuse events join
+    /// the reuse ledger.
+    fn classify(&mut self, request: &mut InFlight, result: spear_core::Result<BatchOutcome>) {
+        let outcome = &mut request.outcome;
+        let report = &mut self.classes[outcome.priority as usize].report;
+        match result {
+            Ok(mut done) => {
+                let metadata = &mut done.state.metadata;
+                report.completed += 1;
+                report.prompt_tokens += metadata.usage.prompt_tokens;
+                report.cached_tokens += metadata.usage.cached_tokens;
+                let events = std::mem::take(&mut metadata.reuse_events);
+                if !events.is_empty() {
+                    let row = (request.arrival_us, outcome.id, metadata.latency_us, events);
+                    self.reuse_rows.push(row);
+                }
+                outcome.service_us = metadata.latency_us;
+                outcome.trace_digest = done.state.trace.digest().ok();
+                outcome.usage = metadata.usage;
+                request.gen_calls = metadata.gen_calls.max(1);
+            }
+            Err(SpearError::Cancelled { reason, after_us }) => {
+                outcome.service_us = after_us;
+                outcome.status = if reason == "deadline" {
+                    report.deadline_exceeded += 1;
+                    ServeStatus::DeadlineExceeded { after_us }
+                } else {
+                    report.cancelled += 1;
+                    ServeStatus::Cancelled { reason }
+                };
+            }
+            Err(error) => {
+                report.failed += 1;
+                outcome.status = ServeStatus::Failed {
+                    error: error.to_string(),
+                };
+            }
+        }
+    }
+
+    /// Stamp a request's outcome with its virtual start and finish, and
+    /// record it.
+    fn finish(&mut self, request: InFlight, start_us: u64, finish_us: u64) {
+        let (mut outcome, arrival_us) = (request.outcome, request.arrival_us);
+        outcome.queue_wait_us = start_us.saturating_sub(arrival_us);
+        outcome.finish_us = finish_us;
+        let accum = self.class(outcome.priority);
+        accum.queue_wait_us.record(outcome.queue_wait_us);
+        accum.service_us.record(outcome.service_us);
+        accum.e2e_us.record(finish_us.saturating_sub(arrival_us));
+        self.outcomes.push(outcome);
+    }
+
+    /// Lanes timing: admission interleaved with execution, round by
+    /// round, each job charged to its lane's clock in dispatch order (so
+    /// same-lane jobs queue behind each other). Returns the makespan.
+    fn serve_on_lanes(&mut self, requests: Vec<ServeRequest>) -> u64 {
+        let config = &self.node.config;
+        let round_size = config.lanes * config.quantum.max(1);
+        let mut queue = AdmissionQueue::new(config.admission.clone());
+        let mut lane_clock = vec![0u64; config.lanes];
+        let mut arrivals = requests.into_iter().peekable();
+        let mut now = 0u64;
+        loop {
+            while let Some(request) = arrivals.next_if(|r| r.arrival_us <= now) {
+                let priority = request.priority;
+                if self.admit(&mut queue, request) {
+                    let depth = queue.depth(priority) as u64;
+                    self.class(priority).queue_depth.record(depth);
+                }
+            }
+            let round = queue.pop_batch(round_size);
+            if round.is_empty() {
+                match arrivals.peek() {
+                    Some(next) => {
+                        now = now.max(next.arrival_us);
+                        continue;
+                    }
+                    None => break,
+                }
+            }
+            for request in self.execute(round) {
+                let lane = request.placement.lane;
+                let start_us = lane_clock[lane].max(now);
+                lane_clock[lane] = start_us + request.outcome.service_us;
+                self.finish(request, start_us, lane_clock[lane]);
+            }
+            // Advance to the earliest time a lane frees up.
+            now = now.max(lane_clock.iter().copied().min().unwrap_or(now));
+        }
+        lane_clock.into_iter().max().unwrap_or(0)
+    }
+
+    /// KV-iteration timing: each admitted request drains at once (depth
+    /// never binds), everything executes in arrival order, and
+    /// [`kv::simulate`] then times the measured footprints through the
+    /// bounded pool on its single-threaded virtual clock, so the contended
+    /// counters are lane-count-invariant by construction. Returns the
+    /// makespan and the pool's counters.
+    fn serve_through_kv(
+        &mut self,
+        requests: Vec<ServeRequest>,
+        pressure: &KvPressureConfig,
+    ) -> (u64, KvReport) {
+        let mut queue = AdmissionQueue::new(self.node.config.admission.clone());
+        let mut admitted = Vec::with_capacity(requests.len());
+        for request in requests {
+            if self.admit(&mut queue, request) {
+                admitted.extend(queue.pop());
+            }
+        }
+        let executed = self.execute(admitted);
+        let inputs: Vec<SeqInput> = executed.iter().map(InFlight::seq_input).collect();
+        let sim = kv::simulate(&inputs, pressure);
+        for (mut request, timing) in executed.into_iter().zip(&sim.timings) {
+            let outcome = &mut request.outcome;
+            // Completed requests take the KV scheduler's token-level
+            // timing; the rest keep their measured partial service,
+            // placed at their scheduling instant.
+            let finish_us = if outcome.status == ServeStatus::Completed {
+                outcome.service_us = timing.service_us;
+                timing.finish_us
+            } else {
+                timing.start_us + outcome.service_us
+            };
+            outcome.preemptions = timing.preemptions;
+            self.finish(request, timing.start_us, finish_us);
+        }
+        for (class, depth) in sim.depth_samples {
+            self.class(class).queue_depth.record(depth);
+        }
+        for (accum, preempted) in self.classes.iter_mut().zip(sim.preempted_by_class) {
+            accum.report.preempted = preempted;
+        }
+        (sim.makespan_us, sim.report)
+    }
+
+    /// Report stage: outcomes in id order, their fingerprint, and the
+    /// aggregate report around the timing model's makespan and KV
+    /// counters.
+    fn report(self, makespan_us: u64, kv: KvReport) -> ServeRun {
+        let mut outcomes = self.outcomes;
+        outcomes.sort_by_key(|o| o.id);
+        let [interactive, batch] = self.classes;
+        let mut compile = self.node.programs.drain_counters();
+        compile.verify_memo_hits = self.verify_memo_hits;
+        let mut report = ServeReport {
+            lanes: self.node.config.lanes,
+            affinity_routing: self.node.config.affinity_routing,
+            makespan_us,
+            trace_fingerprint: ServeNode::fingerprint(&outcomes),
+            interactive: interactive.finish(),
+            batch: batch.finish(),
+            cache: CacheStats::default(),
+            kv,
+            compile,
+            cluster: None,
+            reuse: ServeNode::reuse_ledger(self.reuse_rows),
+        };
+        if let (Some(engine), Some((cache, memo))) = (self.engine, self.before) {
+            report.cache = engine.cache_stats().delta_since(&cache);
+            let after = engine.reuse_stats();
+            report.reuse.inserted = after.insertions.saturating_sub(memo.insertions);
+            report.reuse.evicted = after.evictions.saturating_sub(memo.evictions);
+            report.reuse.bytes = after.resident_bytes;
+        }
+        ServeRun { outcomes, report }
+    }
+}
+
+/// Whether no two requests share an id. Ids usually arrive ascending,
+/// which needs no copy; only otherwise is a sorted copy checked.
+fn ids_unique(requests: &[ServeRequest]) -> bool {
+    if requests.windows(2).all(|w| w[0].id < w[1].id) {
+        return true;
+    }
+    let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    ids.windows(2).all(|w| w[0] < w[1])
+}
+
+/// The admission-verification memo key: everything
+/// [`verify_for_admission`] reads from the request (plan fingerprint ⊕
+/// assumed prompt keys ⊕ deadline). The runtime's contribution is covered
+/// by the memo living for one run only.
+fn verify_key(request: &ServeRequest) -> u64 {
+    let mut bytes = Vec::with_capacity(64);
+    bytes.extend_from_slice(&request.plan.fingerprint().to_le_bytes());
+    for key in request.state.prompts.keys() {
+        bytes.extend_from_slice(key.as_bytes());
+        bytes.push(0xff);
+    }
+    bytes.extend_from_slice(&request.deadline_us.unwrap_or(u64::MAX).to_le_bytes());
+    fnv1a(&bytes)
 }
 
 /// Statically verify a request's plan at admission: full IR verification

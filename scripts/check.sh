@@ -22,5 +22,14 @@ cargo run --release -p spear-bench --bin bench_cluster -- --out BENCH_cluster.js
 # the whole-call memo on, on any fingerprint divergence from reuse-off,
 # or if the hit/coalesced ledger varies across lane counts.
 cargo run --release -p spear-bench --bin bench_serve -- --reuse --out BENCH_reuse.json
+# Serve-artifact gates: regenerate the unconstrained and memory-pressure
+# sweeps into a temp directory (the checked-in files are never written)
+# and require every field except host wall time to match exactly.
+serve_tmp=$(mktemp -d)
+trap 'rm -rf "$serve_tmp"' EXIT
+cargo run --release -p spear-bench --bin bench_serve -- --out "$serve_tmp/BENCH_serve.json"
+cargo run --release -p spear-bench --bin bench_diff -- BENCH_serve.json "$serve_tmp/BENCH_serve.json"
+cargo run --release -p spear-bench --bin bench_serve -- --pressure --out "$serve_tmp/BENCH_serve_pressure.json"
+cargo run --release -p spear-bench --bin bench_diff -- BENCH_serve_pressure.json "$serve_tmp/BENCH_serve_pressure.json"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
