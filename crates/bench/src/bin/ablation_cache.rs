@@ -4,17 +4,9 @@
 //!
 //! Usage: `cargo run -p spear-bench --bin ablation_cache [-- --n 500]`
 
+use spear_bench::cli::arg;
 use spear_bench::report::{f, Table};
 use spear_bench::table3::{run, Table3Config};
-
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let n = arg("--n", 500) as usize;

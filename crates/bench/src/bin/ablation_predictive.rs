@@ -4,16 +4,8 @@
 //! Usage: `cargo run -p spear-bench --bin ablation_predictive [-- --n 1000]`
 
 use spear_bench::ablations::ablation_predictive;
+use spear_bench::cli::arg;
 use spear_bench::report::{f, Table};
-
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let n = arg("--n", 1000) as usize;

@@ -8,25 +8,8 @@
 //! the host wall column is informational and machine-dependent.
 
 use spear_bench::batch_bench::{run, BatchBenchConfig};
+use spear_bench::cli::{arg, arg_str};
 use spear_bench::report::{f, Table};
-
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn arg_str(name: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
-}
 
 fn main() {
     let config = BatchBenchConfig {

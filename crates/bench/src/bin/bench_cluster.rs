@@ -12,35 +12,9 @@
 //! including a join → drain → leave churn schedule replayed at each
 //! lane count.
 
+use spear_bench::cli::{arg, arg_f64, arg_str};
 use spear_bench::cluster_bench::{run, ClusterBenchConfig};
 use spear_bench::report::{f, Table};
-
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn arg_f64(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn arg_str(name: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
-}
 
 fn main() {
     let mut config = ClusterBenchConfig::default();

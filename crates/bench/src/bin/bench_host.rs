@@ -5,16 +5,17 @@
 //!
 //! Runs the same request streams flat (interner off — the pre-fast-path
 //! behaviour) and segmented (interner on) and reports host-side
-//! requests/sec and allocations/request for both, plus an interpreter-vs-
+//! requests/sec and allocations/request for both, plus a tree-walk-vs-
 //! bytecode-VM dispatch microbenchmark on a synthetic 64-slot plan.
 //! Acceptance: responses byte-identical across modes, the warm-prefix
 //! serve workload at least 2x faster on the fast path, and the VM
-//! dispatching at least 1.3x the interpreter's ops/sec with identical
+//! dispatching at least 1.6x the tree walk's ops/sec with identical
 //! traces.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use spear_bench::cli::{arg, arg_str};
 use spear_bench::host_bench::{run, HostBenchConfig};
 use spear_bench::report::{f, Table};
 
@@ -51,24 +52,6 @@ fn snapshot() -> (u64, u64) {
         ALLOCS.load(Ordering::Relaxed),
         BYTES.load(Ordering::Relaxed),
     )
-}
-
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn arg_str(name: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
 }
 
 fn main() {
@@ -125,8 +108,8 @@ fn main() {
     let mut dispatch_table =
         Table::new(&["Dispatch (64-slot plan)", "Ops/s", "Speedup", "Identical"]);
     dispatch_table.row(vec![
-        "interpreter".to_string(),
-        f(d.interpreter_ops_per_sec, 0),
+        "tree walk".to_string(),
+        f(d.tree_ops_per_sec, 0),
         String::new(),
         String::new(),
     ]);
@@ -165,13 +148,13 @@ fn main() {
         std::process::exit(1);
     }
     if !report.dispatch.traces_identical {
-        eprintln!("FAIL: interpreter and VM traces diverged on the dispatch plan");
+        eprintln!("FAIL: tree-walk and VM traces diverged on the dispatch plan");
         std::process::exit(1);
     }
-    if report.dispatch.speedup < 1.3 {
+    if report.dispatch.speedup < 1.6 {
         eprintln!(
-            "FAIL: acceptance requires the bytecode VM to dispatch >=1.3x \
-             the interpreter's ops/sec, got {:.2}x",
+            "FAIL: acceptance requires the bytecode VM to dispatch >=1.6x \
+             the tree walk's ops/sec, got {:.2}x",
             report.dispatch.speedup
         );
         std::process::exit(1);

@@ -24,26 +24,9 @@
 //! at every lane count, and the reuse ledger identical across lane
 //! counts.
 
+use spear_bench::cli::{arg, arg_str};
 use spear_bench::report::{f, Table};
 use spear_bench::serve_bench::{pressure_config, reuse_config, run, run_reuse, ServeBenchConfig};
-
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn arg_str(name: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
-}
 
 fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)

@@ -3,17 +3,9 @@
 //!
 //! Usage: `cargo run -p spear-bench --bin table4 [-- --n 1000 --seed 140]`
 
+use spear_bench::cli::arg;
 use spear_bench::fusion_exp::{table4, TABLE4_SELECTIVITIES};
 use spear_bench::report::{pct, Table};
-
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let n = arg("--n", 1000) as usize;

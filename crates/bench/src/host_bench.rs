@@ -28,8 +28,8 @@ use spear_core::context::Context;
 use spear_core::history::RefinementMode;
 use spear_core::llm::{GenRequest, GenResponse, LlmClient};
 use spear_core::pipeline::Pipeline;
-use spear_core::plan::{lower, LoweredPlan};
-use spear_core::runtime::{ExecState, Runtime, RuntimeConfig};
+use spear_core::plan::lower;
+use spear_core::runtime::{ExecState, Runtime};
 use spear_core::template;
 use spear_core::EchoLlm;
 use spear_llm::{EngineConfig, InternStats, ModelProfile, SimLlm};
@@ -97,8 +97,8 @@ pub struct WorkloadResult {
     pub intern: InternStats,
 }
 
-/// Dispatch microbenchmark result: the same synthetic check-heavy plan
-/// stepped by the lowered-IR interpreter vs the compiled bytecode VM.
+/// Dispatch microbenchmark result: the same synthetic check-heavy pipeline
+/// run by the reference tree walk vs the compiled bytecode VM.
 #[derive(Debug, Clone, Serialize)]
 pub struct DispatchResult {
     /// Lowered slots in the synthetic plan.
@@ -107,11 +107,11 @@ pub struct DispatchResult {
     pub executed_ops: u64,
     /// Timed passes per spine.
     pub passes: usize,
-    /// Interpreter throughput, operators per second.
-    pub interpreter_ops_per_sec: f64,
+    /// Tree-walk throughput, operators per second.
+    pub tree_ops_per_sec: f64,
     /// VM throughput, operators per second.
     pub vm_ops_per_sec: f64,
-    /// `vm_ops_per_sec / interpreter_ops_per_sec`.
+    /// `vm_ops_per_sec / tree_ops_per_sec`.
     pub speedup: f64,
     /// Whether one run of each spine produced byte-identical traces.
     pub traces_identical: bool,
@@ -126,7 +126,7 @@ pub struct HostBenchReport {
     pub iters: usize,
     /// Per-workload results.
     pub workloads: Vec<WorkloadResult>,
-    /// Interpreter-vs-VM dispatch microbenchmark.
+    /// Tree-walk-vs-VM dispatch microbenchmark.
     pub dispatch: DispatchResult,
 }
 
@@ -272,14 +272,14 @@ fn run_workload(
     }
 }
 
-/// A synthetic 64-slot, check-heavy plan with no LLM calls: one prompt
-/// CREATE followed by 63 empty-branch CHECKs alternating between a
-/// context-membership test (true) and a truthiness test on a missing key
-/// (false). Both spines do identical condition evaluation and tracing per
-/// slot, so the measured difference is the dispatch machinery itself:
-/// enum walk with per-step target validation vs compact bytecode fetch
-/// over a constant pool.
-fn dispatch_plan() -> LoweredPlan {
+/// A synthetic check-heavy pipeline with no LLM calls that lowers to 64
+/// slots: one prompt CREATE followed by 63 empty-branch CHECKs alternating
+/// between a context-membership test (true) and a truthiness test on a
+/// missing key (false). Both spines do identical condition evaluation and
+/// tracing per operator, so the measured difference is the dispatch
+/// machinery itself: recursive operator-tree walk with per-step label
+/// formatting vs compact bytecode fetch over a constant pool.
+fn dispatch_pipeline() -> Pipeline {
     let mut b = Pipeline::builder("dispatch_64").create_text(
         "p0",
         "dispatch probe",
@@ -293,24 +293,16 @@ fn dispatch_plan() -> LoweredPlan {
         };
         b = b.check(cond, |t| t);
     }
-    lower(&b.build()).expect("synthetic plan lowers")
+    b.build()
 }
 
 /// Run the dispatch microbenchmark: `passes` timed passes per spine over
-/// the synthetic plan, interpreter first, VM second.
+/// the synthetic pipeline, tree walk first, VM second.
 #[must_use]
 pub fn run_dispatch(passes: usize) -> DispatchResult {
-    let plan = dispatch_plan();
-    // Verification off: the gate would bill the interpreter for a
-    // structural re-verify per pass that the VM pays once at compile time;
-    // here we want the steady-state stepping cost alone.
-    let rt = Runtime::builder()
-        .llm(Arc::new(EchoLlm::default()))
-        .config(RuntimeConfig {
-            verify: false,
-            ..RuntimeConfig::default()
-        })
-        .build();
+    let pipeline = dispatch_pipeline();
+    let plan = lower(&pipeline).expect("synthetic pipeline lowers");
+    let rt = Runtime::builder().llm(Arc::new(EchoLlm::default())).build();
     let program = spear_core::compile(&plan).expect("synthetic plan compiles");
     let fresh = || {
         let mut state = ExecState::new();
@@ -319,18 +311,18 @@ pub fn run_dispatch(passes: usize) -> DispatchResult {
     };
 
     // One run of each spine for the equivalence check and the op count.
-    let mut int_state = fresh();
-    let int_result = rt.execute_lowered_interpreted(&plan, &mut int_state);
+    let mut tree_state = fresh();
+    let tree_result = rt.execute_tree(&pipeline, &mut tree_state);
     let mut vm_state = fresh();
     let vm_result = rt.execute_program(&program, &mut vm_state);
     let traces_identical = format!(
-        "{int_result:?}|{}",
-        int_state.trace.to_jsonl().expect("trace serializes")
+        "{tree_result:?}|{}",
+        tree_state.trace.to_jsonl().expect("trace serializes")
     ) == format!(
         "{vm_result:?}|{}",
         vm_state.trace.to_jsonl().expect("trace serializes")
     );
-    let executed_ops = int_state.step;
+    let executed_ops = tree_state.step;
 
     let time = |spine: &dyn Fn(&mut ExecState)| -> f64 {
         // Warm-up pass, then the timed passes.
@@ -344,8 +336,8 @@ pub fn run_dispatch(passes: usize) -> DispatchResult {
         let secs = start.elapsed().as_secs_f64().max(1e-12);
         (executed_ops as f64 * passes as f64) / secs
     };
-    let interpreter_ops_per_sec = time(&|state| {
-        let _ = rt.execute_lowered_interpreted(&plan, state);
+    let tree_ops_per_sec = time(&|state| {
+        let _ = rt.execute_tree(&pipeline, state);
     });
     let vm_ops_per_sec = time(&|state| {
         let _ = rt.execute_program(&program, state);
@@ -355,9 +347,9 @@ pub fn run_dispatch(passes: usize) -> DispatchResult {
         slots: plan.ops.len(),
         executed_ops,
         passes,
-        interpreter_ops_per_sec,
+        tree_ops_per_sec,
         vm_ops_per_sec,
-        speedup: vm_ops_per_sec / interpreter_ops_per_sec.max(1e-12),
+        speedup: vm_ops_per_sec / tree_ops_per_sec.max(1e-12),
         traces_identical,
     }
 }
@@ -400,7 +392,7 @@ mod tests {
             assert!(w.baseline.requests_per_sec > 0.0);
         }
         assert!(report.dispatch.traces_identical);
-        assert!(report.dispatch.interpreter_ops_per_sec > 0.0);
+        assert!(report.dispatch.tree_ops_per_sec > 0.0);
         assert!(report.dispatch.vm_ops_per_sec > 0.0);
     }
 
@@ -410,7 +402,7 @@ mod tests {
         assert_eq!(result.slots, 64, "synthetic plan must stay 64 slots");
         assert!(
             result.traces_identical,
-            "interpreter and VM diverged on the dispatch plan"
+            "tree walk and VM diverged on the dispatch plan"
         );
         assert!(result.executed_ops >= 64, "every slot executes");
     }

@@ -26,6 +26,7 @@
 
 pub mod ablations;
 pub mod batch_bench;
+pub mod cli;
 pub mod cluster_bench;
 pub mod fusion_exp;
 pub mod host_bench;

@@ -20,9 +20,9 @@
 //! respecting the [`ResourceModel`] minimums and each GEN's
 //! `options.max_tokens` cap (both simulated backends do), measured usage
 //! never exceeds the `hi` bounds, and a run that reaches the exit spends
-//! at least the `lo` bounds. Cyclic bytecode (only reachable through
-//! `compile_assuming_verified` of an unverified plan) falls back to the
-//! top element `[0, ∞)` instead of iterating forever: the widening step
+//! at least the `lo` bounds. Cyclic bytecode (which [`vm::compile`]
+//! never emits, but a hand-built [`vm::Program`] can carry) falls back to
+//! the top element `[0, ∞)` instead of iterating forever: the widening step
 //! jumps straight to top once a join count exceeds the block count.
 //!
 //! [`BytecodePass`] packages the reachability half as an opt-in lint pass
@@ -469,7 +469,7 @@ impl LintPass for BytecodePass {
     }
 
     fn run(&self, cx: &PassContext<'_>) -> Vec<Diagnostic> {
-        let Ok(program) = vm::compile_assuming_verified(cx.plan) else {
+        let Ok(program) = vm::compile(cx.plan) else {
             return Vec::new();
         };
         let Ok(map) = tv::validate_compile(cx.plan, &program) else {
@@ -529,7 +529,7 @@ mod tests {
     use super::*;
     use crate::history::RefinementMode;
     use crate::pipeline::Pipeline;
-    use crate::plan::{lower, LoweredOp, LoweredPlan};
+    use crate::plan::lower;
 
     fn compiled(build: impl FnOnce(crate::pipeline::PipelineBuilder) -> Pipeline) -> Program {
         let p = build(Pipeline::builder("absint"));
@@ -581,20 +581,6 @@ mod tests {
         assert_eq!(bounds.tokens, Interval { lo: 1, hi: 256 });
         // The dead gen's pc carries no fact.
         assert!(bounds.per_op.iter().any(Option::is_none));
-    }
-
-    #[test]
-    fn cyclic_bytecode_falls_back_to_top() {
-        let plan = LoweredPlan {
-            name: "loop".into(),
-            source_size: 1,
-            ops: vec![LoweredOp::Jump { target: 0 }],
-        };
-        let prog = vm::compile_assuming_verified(&plan).unwrap();
-        let bounds = analyze(&prog, &ResourceModel::default());
-        assert!(!bounds.terminates);
-        assert_eq!(bounds.tokens, Interval::top());
-        assert_eq!(bounds.kv_blocks(10, 16), u64::MAX);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Control-flow graph over a lowered slot program.
 //!
 //! Every slot is a node; the virtual exit node is `plan.ops.len()`.
-//! Edges follow the interpreter in [`crate::exec::run_lowered`]:
+//! Edges follow the compiled VM's program counter ([`crate::vm`]):
 //!
 //! - `Leaf` falls through to `pc + 1`;
 //! - `Check { on_false }` has two successors, `pc + 1` (condition holds)

@@ -55,12 +55,12 @@ pub use passes::{
 };
 pub use tv::{validate_compile, validate_optimized, TvFailure};
 
-/// The structural checks that make a slot program safe to hand to the
-/// interpreter at all: every target in bounds, no lowering placeholders,
-/// no backward jumps (the termination argument). This is the subset
-/// [`crate::runtime::Runtime::execute_lowered`]'s default-on gate
-/// enforces — cheap, runtime-independent, and never triggered by plans
-/// produced by [`crate::plan::lower`].
+/// The structural checks that make a slot program safe to compile at all:
+/// every target in bounds, no lowering placeholders, no backward jumps
+/// (the termination argument). This is the subset [`crate::vm::compile`]
+/// enforces, fail-closed, before emitting any code — cheap,
+/// runtime-independent, and never triggered by plans produced by
+/// [`crate::plan::lower`].
 #[must_use]
 pub fn verify_structural(plan: &LoweredPlan) -> Vec<Diagnostic> {
     match Cfg::build(plan) {

@@ -7,8 +7,8 @@
 //! - [`validate_compile`] re-walks the source [`LoweredPlan`] in lockstep
 //!   with the emitted [`VmOp`] stream and proves op-for-op effect
 //!   equivalence: every leaf/check spec must carry exactly the operator,
-//!   describe string, `CHECK[...]` label, trigger, and unwind frames the
-//!   interpreter would derive from the source slot; every fused
+//!   describe string, `CHECK[...]` label, trigger, and unwind frames
+//!   derived from the source slot; every fused
 //!   superinstruction must cover an adjacent pair whose second half is not
 //!   a branch target (fusing a landing pad would skip the first half); and
 //!   every patched target must land on the code index of its source

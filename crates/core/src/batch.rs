@@ -163,13 +163,7 @@ impl BatchRunner {
         // that fails to compile (i.e. fails verification) falls back to
         // per-job `execute_lowered`, which reproduces the same
         // `InvalidPlan` error in every slot.
-        let program = if runtime.config().verify {
-            crate::vm::compile(plan).ok().map(Arc::new)
-        } else {
-            crate::vm::compile_assuming_verified(plan)
-                .ok()
-                .map(Arc::new)
-        };
+        let program = crate::vm::compile(plan).ok().map(Arc::new);
         let jobs: Vec<(Arc<LoweredPlan>, ExecState)> = states
             .into_iter()
             .map(|state| (Arc::clone(plan), state))

@@ -5,19 +5,17 @@
 //! per-operator, so the code is organized the same way. Handlers are plain
 //! free functions over destructured operator fields (no trait objects):
 //! [`exec_op`] is the static dispatch point, and [`crate::vm`] inlines the
-//! same handlers into its compiled match-loop. The spine — budget gating,
-//! step counting, tracing, and error unwinding — lives here, in exactly
-//! one place:
+//! same handlers into its compiled match-loop. The pre-operator [`gate`]
+//! — budget, call limits, cancellation, step counting — lives here once
+//! and is shared by both spines:
 //!
-//! - [`run_lowered`] steps a [`LoweredPlan`] with a program counter — the
-//!   reference IR interpreter, kept for differential testing and dispatch
-//!   microbenchmarks (the production path compiles to [`crate::vm`]).
-//! - [`run_tree`] is the reference recursive walk over the operator tree
-//!   ([`crate::runtime::Runtime::execute_tree`]).
+//! - the compiled bytecode VM ([`crate::vm`]), the single production path;
+//! - [`run_tree`], the reference recursive walk over the operator tree
+//!   ([`crate::runtime::Runtime::execute_tree`]), kept as the semantic
+//!   oracle.
 //!
-//! All three spines — tree walk, IR interpreter, compiled VM — produce
-//! byte-identical traces for any pipeline, including error paths (see
-//! `tests/trace_equivalence.rs`).
+//! Both produce byte-identical traces for any pipeline, including error
+//! paths (see `tests/trace_equivalence.rs`).
 //!
 //! The spine must never panic on user input — failures are typed
 //! [`SpearError`]s — so `unwrap()`/`expect()` are denied throughout the
@@ -34,7 +32,6 @@ pub(crate) mod ret;
 
 use crate::error::{Result, SpearError};
 use crate::ops::Op;
-use crate::plan::{LoweredOp, LoweredPlan};
 use crate::runtime::{ExecState, Runtime};
 use crate::trace::TraceKind;
 use crate::value::Value;
@@ -164,8 +161,8 @@ fn check_cancelled(state: &ExecState) -> Result<()> {
 
 /// The pre-operator gate: op budget, call limits, step advance. Gate
 /// failures are *not* recorded against the operator (it never ran) — only
-/// enclosing CHECK frames log them during unwind. Shared by all three
-/// spines (tree walk, IR interpreter, compiled VM).
+/// enclosing CHECK frames log them during unwind. Shared by both spines
+/// (tree walk and compiled VM).
 pub(crate) fn gate(
     rt: &Runtime,
     state: &mut ExecState,
@@ -181,80 +178,6 @@ pub(crate) fn gate(
     limits.check(state)?;
     *budget -= 1;
     state.step += 1;
-    Ok(())
-}
-
-/// Replay the tree walk's error unwind: the failing operator's own trace
-/// event (when it ran), then one event per enclosing CHECK, innermost
-/// first — all at the current step, matching the recursive walk.
-fn unwind(state: &mut ExecState, own: Option<String>, frames: &[String], e: &SpearError) {
-    if let Some(describe) = own {
-        state.trace.record(
-            state.step,
-            TraceKind::Error,
-            describe,
-            Value::from(e.to_string()),
-        );
-    }
-    for frame in frames.iter().rev() {
-        state.trace.record(
-            state.step,
-            TraceKind::Error,
-            frame.clone(),
-            Value::from(e.to_string()),
-        );
-    }
-}
-
-/// The IR interpreter spine: step `plan` with a program counter.
-pub(crate) fn run_lowered(
-    rt: &Runtime,
-    plan: &LoweredPlan,
-    state: &mut ExecState,
-    budget: &mut u64,
-    limits: &CallLimits,
-) -> Result<()> {
-    let mut pc = 0usize;
-    while let Some(instr) = plan.ops.get(pc) {
-        match instr {
-            LoweredOp::Jump { target } => pc = *target,
-            LoweredOp::Check {
-                cond,
-                on_false,
-                frames,
-            } => {
-                if let Err(e) = gate(rt, state, budget, limits) {
-                    unwind(state, None, frames, &e);
-                    return Err(e);
-                }
-                match check::eval_and_trace(cond, state) {
-                    Ok(true) => pc += 1,
-                    Ok(false) => pc = *on_false,
-                    Err(e) => {
-                        unwind(state, Some(format!("CHECK[{cond}]")), frames, &e);
-                        return Err(e);
-                    }
-                }
-            }
-            LoweredOp::Leaf {
-                op,
-                trigger,
-                frames,
-            } => {
-                if let Err(e) = gate(rt, state, budget, limits) {
-                    unwind(state, None, frames, &e);
-                    return Err(e);
-                }
-                match exec_op(rt, op, trigger.as_deref(), state) {
-                    Ok(_) => pc += 1,
-                    Err(e) => {
-                        unwind(state, Some(op.describe()), frames, &e);
-                        return Err(e);
-                    }
-                }
-            }
-        }
-    }
     Ok(())
 }
 

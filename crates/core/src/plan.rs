@@ -10,7 +10,7 @@
 //! over the else block.
 //!
 //! Two pieces of tree-shaped bookkeeping are baked into the instructions so
-//! the flat interpreter reproduces the tree walk byte-for-byte:
+//! the compiled VM ([`crate::vm`]) reproduces the tree walk byte-for-byte:
 //!
 //! - **triggers** — a REF inside a CHECK branch records the branch's
 //!   condition text in its ref_log; each leaf carries the trigger of its

@@ -5,11 +5,9 @@
 //! with [`crate::vm`], and steps the compiled program; the VM loop owns
 //! tracing, budget enforcement, and the op-count cap in exactly one
 //! place, and each operator's semantics live in its own handler module
-//! (`exec::{ret,gen,refine,check,merge,delegate}`). Two reference spines
-//! are kept for differential testing: the recursive tree walk
-//! ([`Runtime::execute_tree`]) and the direct IR interpreter
-//! ([`Runtime::execute_lowered_interpreted`]); all three produce
-//! byte-identical traces and reports.
+//! (`exec::{ret,gen,refine,check,merge,delegate}`). The recursive tree
+//! walk ([`Runtime::execute_tree`]) is kept as the semantic oracle for
+//! differential testing; it produces byte-identical traces and reports.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -47,13 +45,6 @@ pub struct RuntimeConfig {
     /// Latency budget per `execute` call (accumulated virtual latency);
     /// `None` = unbounded.
     pub max_latency: Option<Duration>,
-    /// Default-on structural verify gate: before stepping a lowered plan,
-    /// reject it with [`crate::error::SpearError::InvalidPlan`] if
-    /// [`crate::analysis::verify_structural`] finds errors (malformed
-    /// targets, leaked lowering placeholders, backward jumps). Plans from
-    /// [`crate::plan::lower`] never trip it; plans of unknown provenance
-    /// (deserialized, hand-built) do before any LLM call.
-    pub verify: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -62,7 +53,6 @@ impl Default for RuntimeConfig {
             max_ops: 10_000,
             max_tokens: None,
             max_latency: None,
-            verify: true,
         }
     }
 }
@@ -300,45 +290,28 @@ impl Runtime {
 
     /// Execute an already-lowered plan against `state`. This is the single
     /// execution spine: optimizer plans, DL-compiled programs, and tree
-    /// pipelines all funnel through here.
+    /// pipelines all funnel through here. The plan is compiled with
+    /// [`crate::vm::compile`], which is fail-closed: a plan failing
+    /// [`crate::analysis::verify_structural`] (malformed targets, leaked
+    /// lowering placeholders, backward jumps) is rejected before any trace
+    /// event or LLM call. Plans from [`crate::plan::lower`] never trip it.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Runtime::execute`].
+    /// Same contract as [`Runtime::execute`], plus
+    /// [`crate::error::SpearError::InvalidPlan`] for a malformed plan.
     pub fn execute_lowered(
         &self,
         lowered: &LoweredPlan,
         state: &mut ExecState,
     ) -> Result<ExecReport> {
-        if self.config.verify {
-            let diagnostics = crate::analysis::verify_structural(lowered);
-            if diagnostics
-                .iter()
-                .any(crate::analysis::Diagnostic::is_error)
-            {
-                return Err(crate::error::SpearError::InvalidPlan {
-                    plan: lowered.name.clone(),
-                    diagnostics,
-                });
-            }
-        }
-        // Verification has run (or been explicitly disabled), so compile
-        // without re-verifying; the compiler clamps out-of-range targets to
-        // the halt index, reproducing the interpreter's fall-off-the-end
-        // exit even for unverified plans.
-        let program = vm::compile_assuming_verified(lowered)?;
-        self.traced_run(
-            &lowered.name,
-            lowered.source_size,
-            state,
-            |rt, st, budget, limits| vm::run_program(rt, &program, st, budget, limits),
-        )
+        let program = vm::compile(lowered)?;
+        self.execute_program(&program, state)
     }
 
     /// Execute a compiled [`Program`] against `state`. No verify gate runs
-    /// here: programs only exist via [`crate::vm::compile`] (fail-closed)
-    /// or via [`Runtime::execute_lowered`] after its own gate, so the VM
-    /// may assume the verifier's structural invariants.
+    /// here: programs only exist via [`crate::vm::compile`] (fail-closed),
+    /// so the VM may assume the verifier's structural invariants.
     ///
     /// # Errors
     ///
@@ -352,39 +325,6 @@ impl Runtime {
         )
     }
 
-    /// Execute an already-lowered plan via the reference IR interpreter
-    /// (the pre-VM spine). Kept for differential testing against the
-    /// compiled path and for the dispatch microbenchmark; produces
-    /// byte-identical traces and reports to [`Runtime::execute_lowered`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Runtime::execute`].
-    pub fn execute_lowered_interpreted(
-        &self,
-        lowered: &LoweredPlan,
-        state: &mut ExecState,
-    ) -> Result<ExecReport> {
-        if self.config.verify {
-            let diagnostics = crate::analysis::verify_structural(lowered);
-            if diagnostics
-                .iter()
-                .any(crate::analysis::Diagnostic::is_error)
-            {
-                return Err(crate::error::SpearError::InvalidPlan {
-                    plan: lowered.name.clone(),
-                    diagnostics,
-                });
-            }
-        }
-        self.traced_run(
-            &lowered.name,
-            lowered.source_size,
-            state,
-            |rt, st, budget, limits| exec::run_lowered(rt, lowered, st, budget, limits),
-        )
-    }
-
     /// Run the full static verifier over `lowered` against this runtime's
     /// registries — shorthand for
     /// `analysis::Verifier::with_runtime(self).verify(lowered)`. Unlike
@@ -395,9 +335,9 @@ impl Runtime {
         crate::analysis::Verifier::with_runtime(self).verify(lowered)
     }
 
-    /// Execute `pipeline` via the reference recursive tree walk. Kept for
-    /// differential testing against the lowered IR path; the two produce
-    /// byte-identical traces and reports.
+    /// Execute `pipeline` via the reference recursive tree walk: the
+    /// semantic oracle the compiled path is differentially tested against;
+    /// the two produce byte-identical traces and reports.
     ///
     /// # Errors
     ///

@@ -1,10 +1,10 @@
 //! The bytecode VM: compiled execution of lowered plans.
 //!
-//! The slot-program interpreter in [`crate::exec`] re-derives everything it
-//! needs per step: `Display`-formatting condition labels for every trace
-//! event, carrying heap-allocated frame vectors on every instruction, and
-//! dispatching through a match on the full [`LoweredOp`] representation.
-//! [`compile`] pays those costs **once per plan** instead of once per step:
+//! A [`LoweredPlan`] is a slot program: stepping it directly would
+//! re-derive everything per step — `Display`-formatting condition labels
+//! for every trace event, carrying heap-allocated frame vectors on every
+//! instruction, and dispatching through a match on the full [`LoweredOp`]
+//! representation. [`compile`] pays those costs **once per plan** instead:
 //!
 //! - every instruction becomes a compact, `Copy` [`VmOp`] of `u32` indices
 //!   into a [`ConstPool`];
@@ -25,17 +25,15 @@
 //! [`crate::analysis::verify_structural`] and refuses to emit code for a
 //! malformed plan. The VM therefore *assumes* verified invariants — targets
 //! in range, no leaked lowering placeholders — and skips per-step
-//! validation. The `compile_assuming_verified` entry point
-//! (used by [`crate::runtime::Runtime::execute_lowered`], whose own
-//! `verify` gate has already run) additionally clamps any out-of-range
-//! target to "halt", which reproduces the interpreter's `ops.get(pc) ==
-//! None` exit semantics for unverified plans byte-for-byte.
+//! validation. It is the only way a plan becomes runnable:
+//! [`crate::runtime::Runtime::execute_lowered`], the batch runner, and the
+//! serving layer's program cache all compile through it.
 //!
 //! ## Equivalence
 //!
 //! For every plan, the VM's statuses, traces, digests, and usage are
-//! byte-identical to both the IR interpreter and the reference tree walk —
-//! fused pairs still gate, count budget, and trace as two steps — proven by
+//! byte-identical to the reference tree walk — fused pairs still gate,
+//! count budget, and trace as two steps — proven by
 //! `tests/trace_equivalence.rs` at 1/4/8 workers including error unwinds
 //! and cancellation.
 
@@ -304,18 +302,6 @@ pub fn compile(plan: &LoweredPlan) -> Result<Program> {
             diagnostics,
         });
     }
-    compile_assuming_verified(plan)
-}
-
-/// Compile without re-verifying — for callers whose own verify gate
-/// already ran (or is deliberately off). Out-of-range targets are clamped
-/// to "halt", reproducing the interpreter's `ops.get(pc) == None` exit.
-///
-/// # Errors
-///
-/// Returns [`SpearError::Internal`] only for plans too large to index with
-/// `u32` (over four billion instructions).
-pub fn compile_assuming_verified(plan: &LoweredPlan) -> Result<Program> {
     let n = plan.ops.len();
     if u32::try_from(n).is_err() {
         return Err(SpearError::Internal(format!(
@@ -326,12 +312,13 @@ pub fn compile_assuming_verified(plan: &LoweredPlan) -> Result<Program> {
 
     // Branch-target map over source indices: the second instruction of a
     // fused pair must not be reachable by a jump, or fusing would skip the
-    // first half for jumps landing on the second.
+    // first half for jumps landing on the second. Verification bounds every
+    // target by `n` (the halt index).
     let mut is_target = vec![false; n + 1];
     for op in &plan.ops {
         match op {
-            LoweredOp::Check { on_false, .. } => is_target[(*on_false).min(n)] = true,
-            LoweredOp::Jump { target } => is_target[(*target).min(n)] = true,
+            LoweredOp::Check { on_false, .. } => is_target[*on_false] = true,
+            LoweredOp::Jump { target } => is_target[*target] = true,
             LoweredOp::Leaf { .. } => {}
         }
     }
@@ -345,7 +332,7 @@ pub fn compile_assuming_verified(plan: &LoweredPlan) -> Result<Program> {
     while pc < n {
         new_index[pc] = code.len() as u32;
         let fused = if pc + 1 < n && !is_target[pc + 1] {
-            fuse(&plan.ops[pc], &plan.ops[pc + 1], n, &mut pool)
+            fuse(&plan.ops[pc], &plan.ops[pc + 1], &mut pool)
         } else {
             None
         };
@@ -354,7 +341,7 @@ pub fn compile_assuming_verified(plan: &LoweredPlan) -> Result<Program> {
             code.push(op);
             pc += 2;
         } else {
-            code.push(single(&plan.ops[pc], n, &mut pool));
+            code.push(single(&plan.ops[pc], &mut pool));
             pc += 1;
         }
     }
@@ -443,14 +430,8 @@ impl PoolBuilder {
     }
 }
 
-/// Clamp a source target into `0..=n` ("n" = halt) so it fits the `u32`
-/// field even for unverified plans carrying `usize::MAX` placeholders.
-fn clamp(target: usize, n: usize) -> u32 {
-    target.min(n) as u32
-}
-
 /// Try to fuse the instruction pair at `(first, second)`.
-fn fuse(first: &LoweredOp, second: &LoweredOp, n: usize, pool: &mut PoolBuilder) -> Option<VmOp> {
+fn fuse(first: &LoweredOp, second: &LoweredOp, pool: &mut PoolBuilder) -> Option<VmOp> {
     match (first, second) {
         (
             LoweredOp::Leaf {
@@ -466,7 +447,7 @@ fn fuse(first: &LoweredOp, second: &LoweredOp, n: usize, pool: &mut PoolBuilder)
         ) => Some(VmOp::GenCheck {
             leaf: pool.add_leaf(op, trigger.as_deref(), frames),
             check: pool.add_check(cond, check_frames),
-            on_false: clamp(*on_false, n),
+            on_false: *on_false as u32,
         }),
         (
             LoweredOp::Leaf {
@@ -477,7 +458,7 @@ fn fuse(first: &LoweredOp, second: &LoweredOp, n: usize, pool: &mut PoolBuilder)
             LoweredOp::Jump { target },
         ) => Some(VmOp::DelegateJump {
             leaf: pool.add_leaf(op, trigger.as_deref(), frames),
-            target: clamp(*target, n),
+            target: *target as u32,
         }),
         (
             LoweredOp::Leaf {
@@ -499,7 +480,7 @@ fn fuse(first: &LoweredOp, second: &LoweredOp, n: usize, pool: &mut PoolBuilder)
 }
 
 /// Compile one unfused instruction.
-fn single(op: &LoweredOp, n: usize, pool: &mut PoolBuilder) -> VmOp {
+fn single(op: &LoweredOp, pool: &mut PoolBuilder) -> VmOp {
     match op {
         LoweredOp::Leaf {
             op,
@@ -514,15 +495,15 @@ fn single(op: &LoweredOp, n: usize, pool: &mut PoolBuilder) -> VmOp {
             frames,
         } => VmOp::Check {
             check: pool.add_check(cond, frames),
-            on_false: clamp(*on_false, n),
+            on_false: *on_false as u32,
         },
         LoweredOp::Jump { target } => VmOp::Jump {
-            target: clamp(*target, n),
+            target: *target as u32,
         },
     }
 }
 
-/// Replay the interpreter's error unwind from pooled strings: the failing
+/// Replay the tree walk's error unwind from pooled strings: the failing
 /// operator's own describe (when it ran), then one event per enclosing
 /// CHECK, innermost first — all at the current step.
 fn unwind(
@@ -646,8 +627,8 @@ fn exec_leaf_op(
             into,
         } => exec::delegate::run(rt, agent, payload, into, state),
         // A Check embedded in a Leaf slot never comes out of `lower()`, but
-        // a hand-built plan can carry one; the interpreter evaluates it and
-        // falls through, so the VM does the same.
+        // a hand-built plan can carry one: the VM evaluates it and falls
+        // through (its branches are not part of the slot program).
         Op::Check { cond, .. } => {
             exec::check::eval_labeled(cond, pool.str(spec.describe), state).map(|_| ())
         }
@@ -657,7 +638,7 @@ fn exec_leaf_op(
 /// The compiled spine: step `program` with a program counter. Fused
 /// superinstructions execute their halves in source order — two gates, two
 /// budget units, two trace events — so the trace is byte-identical to the
-/// interpreter's.
+/// tree walk's.
 pub(crate) fn run_program(
     rt: &Runtime,
     program: &Program,
@@ -734,7 +715,7 @@ fn resolve_jumps(code: &[VmOp], mut pc: usize) -> Option<usize> {
 /// ([`crate::analysis::tv::validate_optimized`]).
 ///
 /// Reachable CHECKs are always kept: they gate, consume budget, and emit
-/// trace events exactly like the interpreter, so optimization never
+/// trace events exactly as in the unoptimized program, so optimization never
 /// changes statuses, traces, digests, or usage. It only shortens jump
 /// chains and drops code no execution can reach (fused refusal shadows,
 /// branches dead under a statically-decided condition). Returns `None`
@@ -1013,9 +994,6 @@ mod tests {
         };
         let err = compile(&bad).unwrap_err();
         assert!(matches!(err, SpearError::InvalidPlan { .. }));
-        // The unverified entry point clamps instead: the program halts.
-        let prog = compile_assuming_verified(&bad).unwrap();
-        assert_eq!(prog.code(), &[VmOp::Jump { target: 1 }]);
     }
 
     #[test]
@@ -1131,5 +1109,23 @@ mod tests {
             prefix: None,
         };
         assert!(optimize(&cyclic).is_none());
+    }
+
+    #[test]
+    fn cyclic_bytecode_falls_back_to_top() {
+        // `compile` rejects backward jumps, so hand-built bytecode is the
+        // only way to reach absint's termination guard.
+        let cyclic = Program {
+            name: "cycle".into(),
+            source_size: 1,
+            code: vec![VmOp::Jump { target: 0 }],
+            pool: ConstPool::default(),
+            prefix: None,
+        };
+        let bounds =
+            crate::analysis::absint::analyze(&cyclic, &crate::analysis::ResourceModel::default());
+        assert!(!bounds.terminates);
+        assert_eq!(bounds.tokens, crate::analysis::Interval::top());
+        assert_eq!(bounds.kv_blocks(10, 16), u64::MAX);
     }
 }

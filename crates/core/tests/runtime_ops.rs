@@ -451,3 +451,57 @@ fn execute_lowered_accepts_a_prelowered_plan() {
     assert_eq!(a, b);
     assert_eq!(via_pipeline.trace, via_plan.trace);
 }
+
+/// Hand-built plans `lower()` can never produce: a leaked placeholder
+/// target (E003) and a reachable backward jump (E006), each with its
+/// expected diagnostic code.
+fn malformed_plans() -> Vec<(LoweredPlan, &'static str)> {
+    let leaked = LoweredPlan {
+        name: "leaked".into(),
+        source_size: 1,
+        ops: vec![LoweredOp::Jump { target: usize::MAX }],
+    };
+    let mut backward = lower(
+        &Pipeline::builder("backward")
+            .create_text("p", "base", RefinementMode::Manual)
+            .build(),
+    )
+    .unwrap();
+    backward.ops.push(LoweredOp::Jump { target: 0 });
+    vec![(leaked, "SPEAR-E003"), (backward, "SPEAR-E006")]
+}
+
+fn assert_invalid_plan(err: &SpearError, name: &str, code: &str) {
+    let SpearError::InvalidPlan { plan, diagnostics } = err else {
+        panic!("expected InvalidPlan, got {err:?}");
+    };
+    assert_eq!(plan, name);
+    let codes: Vec<&str> = diagnostics.iter().map(|d| d.code).collect();
+    assert_eq!(codes, vec![code], "{name}");
+}
+
+#[test]
+fn malformed_plans_are_rejected_before_any_step_or_trace_event() {
+    let rt = runtime();
+    for (plan, code) in malformed_plans() {
+        let mut state = ExecState::new();
+        state.step = 7;
+        let err = rt.execute_lowered(&plan, &mut state).unwrap_err();
+        assert_invalid_plan(&err, &plan.name, code);
+        assert_eq!(state.step, 7, "{}: no step taken", plan.name);
+        assert!(state.trace.events().is_empty(), "{}: no trace", plan.name);
+
+        let plan = Arc::new(plan);
+        for workers in [1, 4] {
+            let states = (0..4).map(|_| ExecState::new()).collect();
+            let slots = BatchRunner::new(workers).run_lowered(&rt, &plan, states);
+            assert_eq!(slots.len(), 4);
+            for slot in slots {
+                let Err(err) = slot else {
+                    panic!("{} ran at {workers} workers", plan.name);
+                };
+                assert_invalid_plan(&err, &plan.name, code);
+            }
+        }
+    }
+}

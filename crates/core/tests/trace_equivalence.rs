@@ -1,12 +1,10 @@
 //! Differential testing of the executors: random small pipelines must
 //! produce **byte-identical** traces and reports whether they run
-//! through the reference tree walk (`Runtime::execute_tree`), the lowered
-//! IR interpreter (`Runtime::execute_lowered_interpreted`), the
+//! through the reference tree walk (`Runtime::execute_tree`), the
 //! compiled bytecode VM (`Runtime::execute_lowered`), or the *optimized*
 //! bytecode VM (`vm::optimize` + `Runtime::execute_program`) — including
-//! pipelines
-//! that fail mid-run, whose error unwind (one `Error` trace event per
-//! enclosing CHECK) both lowered spines replay from their baked-in frames;
+//! pipelines that fail mid-run, whose error unwind (one `Error` trace
+//! event per enclosing CHECK) the VM replays from its baked-in frames;
 //! pipelines aborted mid-run by an operator budget; and pipelines entered
 //! with an already-cancelled token. A second property pins batch
 //! determinism: running the lowered plan on a [`BatchRunner`] returns the
@@ -144,11 +142,11 @@ fn fingerprint(result: &Result<ExecReport>, state: &ExecState) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Tree walk, IR interpreter, and bytecode VM agree byte-for-byte on
+    /// Tree walk, bytecode VM, and optimized VM agree byte-for-byte on
     /// every random pipeline — reports, traces (success and error
     /// unwinds), and state.
     #[test]
-    fn tree_interpreter_and_vm_traces_are_byte_identical(
+    fn tree_and_vm_traces_are_byte_identical(
         instrs in proptest::collection::vec(instr_strategy(), 0..6),
         tweet in "[a-z ]{0,16}",
     ) {
@@ -157,11 +155,9 @@ proptest! {
         let rt = runtime();
 
         let mut tree_state = seeded_state(&tweet);
-        let mut int_state = tree_state.deep_clone();
         let mut vm_state = tree_state.deep_clone();
         let mut opt_state = tree_state.deep_clone();
         let tree_result = rt.execute_tree(&p, &mut tree_state);
-        let int_result = rt.execute_lowered_interpreted(&lowered, &mut int_state);
         let vm_result = rt.execute_lowered(&lowered, &mut vm_state);
 
         // Translation validation holds over the whole random corpus, and
@@ -174,11 +170,6 @@ proptest! {
         let opt_result = rt.execute_program(&optimized, &mut opt_state);
 
         let tree = fingerprint(&tree_result, &tree_state);
-        prop_assert_eq!(
-            &tree,
-            &fingerprint(&int_result, &int_state),
-            "tree vs interpreter, pipeline: {:?}", p
-        );
         prop_assert_eq!(
             &tree,
             &fingerprint(&vm_result, &vm_state),
@@ -211,23 +202,15 @@ proptest! {
             token.cancel();
             tree_state.cancel = Some(token);
         }
-        let mut int_state = tree_state.deep_clone();
         let mut vm_state = tree_state.deep_clone();
         let mut opt_state = tree_state.deep_clone();
         let tree_result = rt.execute_tree(&p, &mut tree_state);
-        let int_result = rt.execute_lowered_interpreted(&lowered, &mut int_state);
         let vm_result = rt.execute_lowered(&lowered, &mut vm_state);
         let program = spear_core::compile(&lowered).expect("builder plans compile");
         let optimized = spear_core::optimize(&program).unwrap_or(program);
         let opt_result = rt.execute_program(&optimized, &mut opt_state);
 
         let tree = fingerprint(&tree_result, &tree_state);
-        prop_assert_eq!(
-            &tree,
-            &fingerprint(&int_result, &int_state),
-            "tree vs interpreter, max_ops={}, cancelled={}, pipeline: {:?}",
-            max_ops, cancelled, p
-        );
         prop_assert_eq!(
             &tree,
             &fingerprint(&vm_result, &vm_state),
@@ -276,7 +259,7 @@ proptest! {
                 }
             })
             .collect();
-        // The verified-optimized program is a fourth independent spine:
+        // The verified-optimized program is a third independent spine:
         // its solo runs must match the batch bytes at every worker count.
         let program = spear_core::compile(&lowered).expect("builder plans compile");
         let optimized = spear_core::optimize(&program).unwrap_or(program);

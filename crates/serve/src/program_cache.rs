@@ -93,8 +93,8 @@ impl ProgramCache {
     /// Look up (or compile, and for keyed families specialize) the program
     /// for `plan`. Returns `None` when the plan fails to compile — i.e.
     /// fails structural verification — in which case nothing is cached and
-    /// the caller should fall back to interpreting the plan so the error
-    /// surfaces through the normal execution path.
+    /// the caller should fall back to `Runtime::execute_lowered` so the
+    /// error surfaces through the normal execution path.
     pub fn get_or_compile(
         &self,
         plan: &LoweredPlan,
@@ -115,15 +115,9 @@ impl ProgramCache {
             return Some(Arc::clone(&slot.program));
         }
 
-        // Mirror the runtime's own gate: with verification on, compilation
-        // is fail-closed; with it off, out-of-range targets are clamped
-        // exactly as the interpreter would fall off the end.
-        let compiled = if runtime.config().verify {
-            vm::compile(plan)
-        } else {
-            vm::compile_assuming_verified(plan)
-        };
-        let mut program = compiled.ok()?;
+        // Fail-closed, like the runtime's own compile: a malformed plan is
+        // never cached.
+        let mut program = vm::compile(plan).ok()?;
         inner.counters.compiled += 1;
 
         // Verified bytecode optimization: jump threading, dead else-edge

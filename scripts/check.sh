@@ -7,7 +7,7 @@ cargo build --release
 cargo test -q
 cargo test --workspace -q
 # Named gates (already part of the workspace run, re-run here so a failure
-# is attributable at a glance): the three-way tree/interpreter/VM trace
+# is attributable at a glance): the tree-walk / VM / optimized-VM trace
 # equivalence and the compiled-program cache soundness suites.
 cargo test -p spear-core --test trace_equivalence -q
 cargo test -p spear-serve --test program_cache -q
@@ -22,14 +22,22 @@ cargo run --release -p spear-bench --bin bench_cluster -- --out BENCH_cluster.js
 # the whole-call memo on, on any fingerprint divergence from reuse-off,
 # or if the hit/coalesced ledger varies across lane counts.
 cargo run --release -p spear-bench --bin bench_serve -- --reuse --out BENCH_reuse.json
-# Serve-artifact gates: regenerate the unconstrained and memory-pressure
-# sweeps into a temp directory (the checked-in files are never written)
-# and require every field except host wall time to match exactly.
+# Artifact gates: regenerate the unconstrained and memory-pressure serve
+# sweeps and the batch sweep into a temp directory (the checked-in files
+# are never written) and require every field except host wall time to
+# match exactly.
 serve_tmp=$(mktemp -d)
 trap 'rm -rf "$serve_tmp"' EXIT
 cargo run --release -p spear-bench --bin bench_serve -- --out "$serve_tmp/BENCH_serve.json"
 cargo run --release -p spear-bench --bin bench_diff -- BENCH_serve.json "$serve_tmp/BENCH_serve.json"
 cargo run --release -p spear-bench --bin bench_serve -- --pressure --out "$serve_tmp/BENCH_serve_pressure.json"
 cargo run --release -p spear-bench --bin bench_diff -- BENCH_serve_pressure.json "$serve_tmp/BENCH_serve_pressure.json"
+cargo run --release -p spear-bench --bin bench_batch -- --out "$serve_tmp/BENCH_batch.json"
+cargo run --release -p spear-bench --bin bench_diff -- BENCH_batch.json "$serve_tmp/BENCH_batch.json"
+# Host fast-path gates (host-clock ratios, so the artifact is not diffed):
+# exits non-zero if interned and flat responses diverge, below 2x serve
+# requests/sec on the fast path, if tree-walk and VM dispatch traces
+# differ, or below 1.6x tree-walk ops/sec for the bytecode VM.
+cargo run --release -p spear-bench --bin bench_host -- --out "$serve_tmp/BENCH_host.json"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
