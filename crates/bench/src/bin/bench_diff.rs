@@ -11,8 +11,15 @@
 
 use serde_json::Value;
 
-/// Object keys holding host-clock measurements, skipped at any depth.
-const HOST_CLOCK_KEYS: &[&str] = &["host_wall_s"];
+/// Object keys holding host-clock measurements, skipped at any depth:
+/// wall time, and the host-throughput figures and ratios of the cluster
+/// and generation-reuse sweeps.
+const HOST_CLOCK_KEYS: &[&str] = &[
+    "host_wall_s",
+    "host_parallel_speedup_x",
+    "host_rps",
+    "speedup_x",
+];
 
 /// Append to `out` the path of every difference between `expected` and
 /// `actual`, ignoring object keys listed in `skip`.
@@ -102,6 +109,13 @@ mod tests {
         let a = r#"{"rows":[{"host_wall_s":0.9,"fp":"ab"}],"n":3}"#;
         assert!(paths(e, a, HOST_CLOCK_KEYS).is_empty());
         assert_eq!(paths(e, a, &[]), vec!["$.rows[0].host_wall_s: 0.5 vs 0.9"]);
+    }
+
+    #[test]
+    fn host_throughput_keys_are_ignored_but_their_neighbours_are_not() {
+        let e = r#"{"host_parallel_speedup_x":0.87,"speedup_x":2.2,"rows":[{"host_rps":10017.3,"hits":5}]}"#;
+        let a = r#"{"host_parallel_speedup_x":2.15,"speedup_x":1.6,"rows":[{"host_rps":2875.8,"hits":6}]}"#;
+        assert_eq!(paths(e, a, HOST_CLOCK_KEYS), vec!["$.rows[0].hits: 5 vs 6"]);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! a trace fingerprint that is byte-identical across host thread counts.
 
 use serde::{Deserialize, Serialize};
+use spear_kv::shard::{fnv1a_extend, FNV1A_OFFSET};
 use spear_serve::{ServeOutcome, ServeReport, ServeStatus};
 
 use crate::router::RouterReport;
@@ -95,13 +96,8 @@ impl ClusterReport {
 /// fingerprint.
 #[must_use]
 pub fn fleet_fingerprint(outcomes: &[(u64, ServeOutcome)]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = FNV1A_OFFSET;
+    let mut mix = |v: u64| hash = fnv1a_extend(hash, &v.to_le_bytes());
     for (node, o) in outcomes {
         mix(o.id);
         mix(*node);

@@ -57,6 +57,6 @@ pub use intern::{
     affinity_chain_key, chain_key, InternStats, InternedChain, TokenInterner, CHAIN_SEED,
 };
 pub use memo::{GenMemo, LeadGuard, Lookup, MemoEntry, MemoStats};
-pub use pool::{AllocGrant, BlockPool, PoolExhausted, PoolStats, DEFAULT_POOL_STRIPES};
+pub use pool::{AllocGrant, BlockPool, PoolExhausted, PoolStats};
 pub use profile::{ModelProfile, PromptFeatures, QualityWeights, TaskKind};
 pub use tokenizer::{StreamingEncoder, Token, Tokenizer};

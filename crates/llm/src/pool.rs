@@ -34,7 +34,12 @@
 //!
 //! - `live_blocks() <= capacity()` at all times;
 //! - `inserted_blocks − evicted_blocks − freed_blocks == live_blocks()`;
-//! - a block on any active lease's path is never evicted or freed.
+//! - a block on any active lease's path is never evicted or freed;
+//! - every ancestor of a pinned block is pinned. A lease is a connected,
+//!   root-first path, so pinning a block pins its whole ancestry. The
+//!   blocks eviction must spare are therefore exactly those with a
+//!   nonzero reference count, and a stripe keeps their number as a
+//!   running count instead of re-deriving it per allocation.
 //!
 //! The pool is lock-striped by each chain's first block hash (like
 //! [`crate::cache::StripedPrefixCache`]), so a sequence's whole path lives
@@ -47,14 +52,10 @@ use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
-/// Default stripe count for [`BlockPool`].
-pub const DEFAULT_POOL_STRIPES: usize = 4;
-
 /// Root sentinel (not stored in the node map).
 const ROOT: u64 = 0;
 
-/// Pool activity counters. All counters are monotonic, so snapshots can be
-/// diffed with [`PoolStats::delta_since`].
+/// Pool activity counters. All counters are monotonic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct PoolStats {
     /// `allocate` calls (including failed ones).
@@ -74,35 +75,6 @@ pub struct PoolStats {
     pub freed_blocks: u64,
     /// Allocations that failed with [`PoolExhausted`].
     pub alloc_failures: u64,
-}
-
-impl PoolStats {
-    /// Fraction of requested blocks served by resident prefixes, in
-    /// `[0, 1]`; `None` before any request.
-    #[must_use]
-    pub fn reuse_rate(&self) -> Option<f64> {
-        if self.requested_blocks == 0 {
-            None
-        } else {
-            Some(self.reused_blocks as f64 / self.requested_blocks as f64)
-        }
-    }
-
-    /// Counter-wise `self − earlier`, saturating on misordered snapshots.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &PoolStats) -> PoolStats {
-        PoolStats {
-            allocations: self.allocations.saturating_sub(earlier.allocations),
-            requested_blocks: self
-                .requested_blocks
-                .saturating_sub(earlier.requested_blocks),
-            reused_blocks: self.reused_blocks.saturating_sub(earlier.reused_blocks),
-            inserted_blocks: self.inserted_blocks.saturating_sub(earlier.inserted_blocks),
-            evicted_blocks: self.evicted_blocks.saturating_sub(earlier.evicted_blocks),
-            freed_blocks: self.freed_blocks.saturating_sub(earlier.freed_blocks),
-            alloc_failures: self.alloc_failures.saturating_sub(earlier.alloc_failures),
-        }
-    }
 }
 
 /// Successful allocation: how much of the request was already resident.
@@ -156,6 +128,9 @@ struct PoolStripe {
     nodes: HashMap<u64, Node>,
     /// `sequence id -> pinned path (root-first node ids)`.
     leases: HashMap<u64, Vec<u64>>,
+    /// Nodes with `refs > 0`; changes only where a node's `refs` crosses
+    /// between 0 and 1.
+    pinned: usize,
     next_id: u64,
     tick: u64,
     stats: PoolStats,
@@ -168,22 +143,6 @@ impl PoolStripe {
             next_id: 1,
             ..Self::default()
         }
-    }
-
-    /// Node ids that must survive: every node with `refs > 0` plus all of
-    /// its ancestors (evicting an ancestor would orphan a pinned block).
-    fn protected(&self) -> std::collections::HashSet<u64> {
-        let mut keep = std::collections::HashSet::new();
-        for (&id, node) in &self.nodes {
-            if node.refs == 0 {
-                continue;
-            }
-            let mut cursor = id;
-            while cursor != ROOT && keep.insert(cursor) {
-                cursor = self.nodes[&cursor].parent;
-            }
-        }
-        keep
     }
 
     /// Evict the LRU unpinned leaf. Returns `false` when nothing is
@@ -220,11 +179,9 @@ impl PoolStripe {
         self.tick += 1;
         self.stats.allocations += 1;
         let mut lease = self.leases.remove(&seq).unwrap_or_default();
-        debug_assert!(
-            lease.len() <= chain.len(),
-            "a lease never shrinks without release/free"
-        );
-        let start = lease.len();
+        // A lease never shrinks: a chain no longer than the lease is a
+        // no-op grant that keeps the lease as it is.
+        let start = lease.len().min(chain.len());
         let requested = chain.len() - start;
         self.stats.requested_blocks += requested as u64;
 
@@ -246,17 +203,12 @@ impl PoolStripe {
         // without touching a pinned path (ours included, once pinned)?
         let evictions_needed = (self.nodes.len() + new_needed).saturating_sub(self.capacity);
         if evictions_needed > 0 {
-            let mut keep = self.protected();
-            // The resident extension (and its ancestors, already on the
-            // lease) is about to be pinned — protect it now so we neither
-            // evict it nor count it as reclaimable.
-            for &id in &resident {
-                keep.insert(id);
-            }
-            for &id in lease.iter() {
-                keep.insert(id);
-            }
-            let reclaimable = self.nodes.len() - keep.len();
+            // Pinned blocks (our lease included) and their ancestors are
+            // exactly the `pinned` ones; the resident extension is about
+            // to be pinned, so its unpinned blocks are not reclaimable
+            // either.
+            let unpinned_resident = resident.iter().filter(|&id| self.nodes[id].refs == 0);
+            let reclaimable = self.nodes.len() - self.pinned - unpinned_resident.count();
             if reclaimable < evictions_needed {
                 self.stats.alloc_failures += 1;
                 if !lease.is_empty() {
@@ -276,6 +228,9 @@ impl PoolStripe {
             let node = self.nodes.get_mut(&id).expect("resident node exists");
             node.refs += 1;
             node.last_used = tick;
+            if node.refs == 1 {
+                self.pinned += 1;
+            }
             lease.push(id);
         }
         let mut parent = lease.last().copied().unwrap_or(ROOT);
@@ -306,6 +261,7 @@ impl PoolStripe {
                 }
             }
             self.stats.inserted_blocks += 1;
+            self.pinned += 1;
             lease.push(id);
             parent = id;
         }
@@ -327,6 +283,9 @@ impl PoolStripe {
         for id in lease {
             if let Some(node) = self.nodes.get_mut(&id) {
                 debug_assert!(node.refs > 0, "released block must be pinned");
+                if node.refs == 1 {
+                    self.pinned -= 1;
+                }
                 node.refs = node.refs.saturating_sub(1);
             }
         }
@@ -344,6 +303,9 @@ impl PoolStripe {
                 continue;
             };
             debug_assert!(node.refs > 0, "freed block must be pinned");
+            if node.refs == 1 {
+                self.pinned -= 1;
+            }
             node.refs = node.refs.saturating_sub(1);
             if node.refs == 0 && node.children == 0 {
                 self.remove_node(id);
@@ -374,10 +336,6 @@ impl PoolStripe {
             evicted += 1;
         }
         evicted
-    }
-
-    fn pinned(&self) -> usize {
-        self.nodes.values().filter(|n| n.refs > 0).count()
     }
 }
 
@@ -413,12 +371,6 @@ impl BlockPool {
         self.stripes.iter().map(|s| s.lock().capacity).sum()
     }
 
-    /// Stripe count.
-    #[must_use]
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
     fn stripe_for(&self, first_hash: u64) -> usize {
         (first_hash % self.stripes.len() as u64) as usize
     }
@@ -426,7 +378,8 @@ impl BlockPool {
     /// Pin blocks for sequence `seq` covering the full `chain` (block
     /// content hashes from block 0). Extends the sequence's existing lease
     /// when one exists — `chain` must then start with the already-leased
-    /// hashes. Empty chains are a no-op grant.
+    /// hashes. Empty chains, and chains no longer than the held lease (a
+    /// lease never shrinks), are a no-op grant.
     ///
     /// # Errors
     ///
@@ -556,7 +509,7 @@ impl BlockPool {
     /// Resident blocks with a nonzero reference count.
     #[must_use]
     pub fn pinned_blocks(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().pinned()).sum()
+        self.stripes.iter().map(|s| s.lock().pinned).sum()
     }
 
     /// Aggregate counters across all stripes.
@@ -751,20 +704,27 @@ mod tests {
     }
 
     #[test]
-    fn stats_delta_and_serialization() {
+    fn shorter_chain_than_the_lease_is_a_noop_grant() {
+        let pool = single(8);
+        pool.allocate(1, &[11, 12, 13]).unwrap();
+        let g = pool.allocate(1, &[11]).unwrap();
+        assert_eq!((g.reused_blocks, g.new_blocks, g.lease_blocks), (0, 0, 3));
+        assert_eq!(pool.lease_blocks(1), Some(3), "a lease never shrinks");
+        assert_eq!(pool.pinned_blocks(), 3);
+        pool.release(1);
+        assert_eq!(pool.pinned_blocks(), 0, "the lease still releases whole");
+    }
+
+    #[test]
+    fn stats_serialization_roundtrips() {
         let pool = single(8);
         pool.allocate(1, &chain(1, 3)).unwrap();
-        let before = pool.stats();
         pool.release(1);
         pool.allocate(2, &chain(1, 3)).unwrap();
-        let delta = pool.stats().delta_since(&before);
-        assert_eq!(delta.reused_blocks, 3);
-        assert_eq!(delta.inserted_blocks, 0);
-        assert!((delta.reuse_rate().unwrap() - 1.0).abs() < 1e-12);
-        let json = serde_json::to_string(&delta).unwrap();
+        let stats = pool.stats();
+        assert_eq!((stats.reused_blocks, stats.inserted_blocks), (3, 3));
+        let json = serde_json::to_string(&stats).unwrap();
         let back: PoolStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, delta);
-        // Misordered snapshots saturate.
-        assert_eq!(before.delta_since(&pool.stats()).allocations, 0);
+        assert_eq!(back, stats);
     }
 }

@@ -6,7 +6,10 @@
 //!    path stays resident;
 //! 2. `live_blocks() <= capacity()` at all times;
 //! 3. the counters reconcile exactly:
-//!    `inserted − evicted − freed == live`.
+//!    `inserted − evicted − freed == live`;
+//! 4. the pinned count is exactly the union of the active leases' paths:
+//!    same-family leases share a prefix, so it is the sum over families
+//!    of the family's longest active lease.
 //!
 //! On failure proptest shrinks to a minimal counterexample op sequence.
 
@@ -69,6 +72,16 @@ fn check_invariants(pool: &BlockPool, model: &Model, step: usize, op: &Op) {
         s.inserted_blocks - s.evicted_blocks - s.freed_blocks,
         live as u64,
         "step {step} ({op:?}): counters do not reconcile: {s:?}"
+    );
+    let mut longest: HashMap<u64, usize> = HashMap::new();
+    for &(fam, len) in model.leases.values() {
+        let entry = longest.entry(fam).or_default();
+        *entry = (*entry).max(len);
+    }
+    assert_eq!(
+        pool.pinned_blocks(),
+        longest.values().sum::<usize>(),
+        "step {step} ({op:?}): pinned count drifted from the leases"
     );
     for (&seq, &(fam, len)) in &model.leases {
         let chain = family_chain(fam, len);

@@ -44,7 +44,12 @@
 //! they re-prefill `prompt + decoded` tokens, minus whatever prefix
 //! blocks survived in the pool (the family's shared prefix usually did —
 //! that is prefix caching earning its keep under contention).
+//!
+//! Each sequence's block-hash chain is a pure function of its input, so
+//! [`simulate`] builds it once, covering the whole `prompt + completion`
+//! context, and every lease takes a prefix of it.
 
+use spear_kv::shard::fnv1a_extend;
 use spear_llm::{BlockPool, PoolExhausted};
 
 use crate::metrics::KvReport;
@@ -182,20 +187,28 @@ fn preempt_rank(p: Priority) -> u8 {
     }
 }
 
-fn mix(seed: u64, parts: &[u64]) -> u64 {
-    let mut h = seed | 1;
-    for &p in parts {
-        for b in p.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+/// Block-hash chain covering `input`'s whole `prompt + completion`
+/// context. Blocks inside the (full-block) shared prefix hash by family
+/// only, so same-family sequences share them physically; the rest is
+/// salted by id, shareable only with this sequence's own resumed self.
+fn block_chain(input: &SeqInput, block_size: u64) -> Vec<u64> {
+    let shared_blocks = input.shared_prefix_tokens.min(input.prompt_tokens) / block_size;
+    let family = input.family_seed | 1;
+    let salted = fnv1a_extend(family, &(input.id + 1).to_le_bytes());
+    let blocks = (input.prompt_tokens + input.completion_tokens).div_ceil(block_size);
+    (0..blocks)
+        .map(|b| {
+            let state = if b < shared_blocks { family } else { salted };
+            fnv1a_extend(state, &b.to_le_bytes())
+        })
+        .collect()
 }
 
 struct Sim<'a> {
     cfg: &'a KvPressureConfig,
     inputs: &'a [SeqInput],
+    /// Per-sequence block-hash chains (see [`block_chain`]).
+    chains: Vec<Vec<u64>>,
     seqs: Vec<Seq>,
     pool: BlockPool,
     running: Vec<usize>,
@@ -218,26 +231,6 @@ impl<'a> Sim<'a> {
     /// decode step: the prompt plus everything decoded so far.
     fn context_target(&self, idx: usize) -> u64 {
         self.inputs[idx].prompt_tokens + self.seqs[idx].decoded
-    }
-
-    /// Block-hash chain covering the first `blocks` blocks of `idx`'s
-    /// context. Blocks inside the (full-block) shared prefix hash by
-    /// family only, so same-family sequences share them physically; the
-    /// rest is salted by id, shareable only with this sequence's own
-    /// resumed self.
-    fn chain_for(&self, idx: usize, blocks: usize) -> Vec<u64> {
-        let input = &self.inputs[idx];
-        let bs = self.cfg.block_size as u64;
-        let shared_blocks = input.shared_prefix_tokens.min(input.prompt_tokens) / bs;
-        (0..blocks as u64)
-            .map(|b| {
-                if b < shared_blocks {
-                    mix(input.family_seed, &[b])
-                } else {
-                    mix(input.family_seed, &[input.id + 1, b])
-                }
-            })
-            .collect()
     }
 
     fn blocks_for_tokens(&self, tokens: u64) -> usize {
@@ -290,9 +283,9 @@ impl<'a> Sim<'a> {
     /// this iteration's finishers) hold the pool, and their progress or
     /// release is what frees it.
     fn ensure_blocks(&mut self, idx: usize, blocks: usize) -> bool {
+        let seq = Self::pool_seq(idx);
         loop {
-            let chain = self.chain_for(idx, blocks);
-            match self.pool.allocate(Self::pool_seq(idx), &chain) {
+            match self.pool.allocate(seq, &self.chains[idx][..blocks]) {
                 Ok(grant) => {
                     self.seqs[idx].leased_blocks = grant.lease_blocks;
                     return true;
@@ -315,12 +308,38 @@ impl<'a> Sim<'a> {
                     // Nobody else holds blocks: the sequence is bigger
                     // than the pool. Pin what fits and stream the tail —
                     // never livelock on self-preemption.
-                    let grant = self.pool.allocate_prefix(Self::pool_seq(idx), &chain);
+                    let grant = self.pool.allocate_prefix(seq, &self.chains[idx][..blocks]);
                     self.seqs[idx].leased_blocks = grant.lease_blocks;
                     return true;
                 }
             }
         }
+    }
+
+    /// Run one prefill chunk of `idx` within `budget` tokens, first
+    /// extending its lease to cover the chunk. Returns the tokens
+    /// prefilled — 0 when nothing remains or the lease cannot grow this
+    /// iteration (earlier-admitted holders keep the pool).
+    fn prefill_chunk(&mut self, idx: usize, budget: u64) -> u64 {
+        let target = self.context_target(idx);
+        let prefilled = self.seqs[idx].prefilled;
+        let chunk = budget
+            .min(self.cfg.prefill_chunk_tokens.max(1))
+            .min(target.saturating_sub(prefilled));
+        let blocks_needed = self.blocks_for_tokens(prefilled + chunk);
+        if chunk > 0
+            && blocks_needed > self.seqs[idx].leased_blocks
+            && !self.ensure_blocks(idx, blocks_needed)
+        {
+            return 0;
+        }
+        let seq = &mut self.seqs[idx];
+        seq.prefilled += chunk;
+        seq.service_us += chunk * self.cfg.prefill_us_per_token;
+        if seq.prefilled >= target && seq.decoded >= self.inputs[idx].completion_tokens {
+            seq.finishing = true; // nothing (left) to decode
+        }
+        chunk
     }
 
     fn run(mut self) -> KvSimRun {
@@ -350,7 +369,7 @@ impl<'a> Sim<'a> {
             let mut prefill_tokens = 0u64;
             let mut decode_tokens = 0u64;
             let mut admissions = 0u32;
-            let mut preemptions_before = self.preempted_by_class;
+            let preempted_before: u64 = self.preempted_by_class.iter().sum();
 
             // --- Decode: one token for every running decode-phase
             // sequence, in admission order.
@@ -399,29 +418,9 @@ impl<'a> Sim<'a> {
                 if self.seqs[idx].phase != Phase::Running || self.seqs[idx].finishing {
                     continue;
                 }
-                let target = self.context_target(idx);
-                let remaining = target.saturating_sub(self.seqs[idx].prefilled);
-                if remaining == 0 {
-                    continue;
-                }
-                let chunk = budget
-                    .min(self.cfg.prefill_chunk_tokens.max(1))
-                    .min(remaining);
-                let covered = self.seqs[idx].prefilled + chunk;
-                let blocks_needed = self.blocks_for_tokens(covered);
-                if blocks_needed > self.seqs[idx].leased_blocks
-                    && !self.ensure_blocks(idx, blocks_needed)
-                {
-                    continue;
-                }
+                let chunk = self.prefill_chunk(idx, budget);
                 budget -= chunk;
                 prefill_tokens += chunk;
-                let seq = &mut self.seqs[idx];
-                seq.prefilled += chunk;
-                seq.service_us += chunk * self.cfg.prefill_us_per_token;
-                if seq.prefilled >= target && seq.decoded >= self.inputs[idx].completion_tokens {
-                    seq.finishing = true; // nothing to decode (empty completion)
-                }
             }
 
             // --- Admission: resumed sequences first (ahead of new
@@ -440,9 +439,8 @@ impl<'a> Sim<'a> {
                     },
                 };
                 let target = self.context_target(idx);
-                let blocks = self.blocks_for_tokens(target);
-                let chain = self.chain_for(idx, blocks);
-                let resident = self.pool.peek(&chain);
+                let chain = &self.chains[idx][..self.blocks_for_tokens(target)];
+                let resident = self.pool.peek(chain);
                 let grant = self
                     .pool
                     .allocate(Self::pool_seq(idx), &chain[..resident])
@@ -463,27 +461,11 @@ impl<'a> Sim<'a> {
                 }
                 self.running.push(idx);
                 // First prefill chunk within this same iteration, lease
-                // permitting (a full pool just leaves it for later).
-                let remaining = target.saturating_sub(self.seqs[idx].prefilled);
-                let chunk = budget
-                    .min(self.cfg.prefill_chunk_tokens.max(1))
-                    .min(remaining);
-                let covered = self.seqs[idx].prefilled + chunk;
-                let blocks_needed = self.blocks_for_tokens(covered);
-                if chunk > 0
-                    && blocks_needed > self.seqs[idx].leased_blocks
-                    && !self.ensure_blocks(idx, blocks_needed)
-                {
-                    continue;
-                }
+                // permitting (a full pool just leaves it for later); an
+                // empty or fully-cached footprint finishes here.
+                let chunk = self.prefill_chunk(idx, budget);
                 budget -= chunk;
                 prefill_tokens += chunk;
-                let seq = &mut self.seqs[idx];
-                seq.prefilled += chunk;
-                seq.service_us += chunk * self.cfg.prefill_us_per_token;
-                if seq.prefilled >= target && seq.decoded >= self.inputs[idx].completion_tokens {
-                    seq.finishing = true; // empty or fully-cached footprint
-                }
             }
 
             // --- Advance the clock and settle finishers.
@@ -494,26 +476,30 @@ impl<'a> Sim<'a> {
                     + decode_tokens * self.cfg.decode_us_per_token;
                 self.steps += 1;
             }
-            for idx in 0..n {
-                if self.seqs[idx].finishing {
-                    self.seqs[idx].finishing = false;
-                    self.seqs[idx].phase = Phase::Finished;
-                    self.seqs[idx].finished_at = now;
-                    self.pool.release(Self::pool_seq(idx));
-                    self.seqs[idx].leased_blocks = 0;
-                    self.running.retain(|&r| r != idx);
-                    finished += 1;
+            // Only running sequences ever finish (preemption spares
+            // finishers), so settling them is a pass over the running set.
+            let (pool, seqs) = (&self.pool, &mut self.seqs);
+            self.running.retain(|&idx| {
+                let seq = &mut seqs[idx];
+                if !seq.finishing {
+                    return true;
                 }
-            }
+                seq.finishing = false;
+                seq.phase = Phase::Finished;
+                seq.finished_at = now;
+                seq.leased_blocks = 0;
+                pool.release(Self::pool_seq(idx));
+                finished += 1;
+                false
+            });
             self.peak_live_blocks = self.peak_live_blocks.max(self.pool.live_blocks() as u64);
 
             // Stall guard: an iteration that moved no tokens, admitted
             // nothing, and preempted nothing means a scheduling bug — the
             // design guarantees at least one of the three.
-            preemptions_before[0] = self.preempted_by_class[0] - preemptions_before[0];
-            preemptions_before[1] = self.preempted_by_class[1] - preemptions_before[1];
-            let progressed =
-                batched > 0 || admissions > 0 || preemptions_before[0] + preemptions_before[1] > 0;
+            let progressed = batched > 0
+                || admissions > 0
+                || self.preempted_by_class.iter().sum::<u64>() > preempted_before;
             if progressed {
                 stalled_iterations = 0;
             } else {
@@ -591,9 +577,11 @@ pub(crate) fn simulate(inputs: &[SeqInput], cfg: &KvPressureConfig) -> KvSimRun 
             preemptions: 0,
         })
         .collect();
+    let block_size = cfg.block_size as u64;
     Sim {
         cfg,
         inputs,
+        chains: inputs.iter().map(|i| block_chain(i, block_size)).collect(),
         seqs,
         pool: BlockPool::new(cfg.pool_blocks, cfg.pool_stripes.max(1)),
         running: Vec::new(),

@@ -62,7 +62,7 @@ use spear_core::error::SpearError;
 use spear_core::llm::ReusePolicy;
 use spear_core::metadata::{ReuseEvent, TokenUsage};
 use spear_core::runtime::Runtime;
-use spear_kv::shard::fnv1a;
+use spear_kv::shard::{fnv1a, fnv1a_extend, FNV1A_OFFSET};
 use spear_llm::{CacheStats, MemoStats, SimLlm};
 
 use crate::error::ServeError;
@@ -356,13 +356,8 @@ impl ServeNode {
 
     /// Order-canonical fold of statuses and trace digests, keyed by id.
     fn fingerprint(outcomes: &[ServeOutcome]) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut hash = FNV1A_OFFSET;
+        let mut mix = |v: u64| hash = fnv1a_extend(hash, &v.to_le_bytes());
         for o in outcomes {
             mix(o.id);
             let tag = match &o.status {

@@ -14,20 +14,23 @@ cargo test -p spear-serve --test program_cache -q
 # Static-analysis gate: bytecode lints, translation validation, and the
 # verified optimizer's bisimulation check over the golden plan corpus.
 cargo run --release -p spear-bench --bin analyze
+# Every bench artifact below is regenerated into a temp directory (the
+# checked-in files are never written) and must match its checked-in
+# counterpart in every field except host-clock measurements.
+serve_tmp=$(mktemp -d)
+trap 'rm -rf "$serve_tmp"' EXIT
 # Cluster scale-out gate: exits non-zero below 0.7x ideal scaling at 8
 # nodes, if hash-random matches prefix-aware on fleet hit rate, or on
 # any cross-lane fingerprint divergence (incl. churn replay).
-cargo run --release -p spear-bench --bin bench_cluster -- --out BENCH_cluster.json
+cargo run --release -p spear-bench --bin bench_cluster -- --out "$serve_tmp/BENCH_cluster.json"
+cargo run --release -p spear-bench --bin bench_diff -- BENCH_cluster.json "$serve_tmp/BENCH_cluster.json"
 # Generation-reuse gate: exits non-zero below 1.5x host throughput with
 # the whole-call memo on, on any fingerprint divergence from reuse-off,
 # or if the hit/coalesced ledger varies across lane counts.
-cargo run --release -p spear-bench --bin bench_serve -- --reuse --out BENCH_reuse.json
-# Artifact gates: regenerate the unconstrained and memory-pressure serve
-# sweeps and the batch sweep into a temp directory (the checked-in files
-# are never written) and require every field except host wall time to
-# match exactly.
-serve_tmp=$(mktemp -d)
-trap 'rm -rf "$serve_tmp"' EXIT
+cargo run --release -p spear-bench --bin bench_serve -- --reuse --out "$serve_tmp/BENCH_reuse.json"
+cargo run --release -p spear-bench --bin bench_diff -- BENCH_reuse.json "$serve_tmp/BENCH_reuse.json"
+# Artifact gates for the unconstrained and memory-pressure serve sweeps
+# and the batch sweep.
 cargo run --release -p spear-bench --bin bench_serve -- --out "$serve_tmp/BENCH_serve.json"
 cargo run --release -p spear-bench --bin bench_diff -- BENCH_serve.json "$serve_tmp/BENCH_serve.json"
 cargo run --release -p spear-bench --bin bench_serve -- --pressure --out "$serve_tmp/BENCH_serve_pressure.json"
